@@ -22,11 +22,10 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, SurvivalCurve, _convolve
-
-_MONO_SLACK = 1e-12
+from .distribution import CRITICAL_C, SurvivalCurve, _MONO_SLACK, recurrence_rhs
 
 RangeLike = Union[int, Tuple[int, int]]
+FloatOrArray = Union[float, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +78,6 @@ def b_sequence(K: int) -> np.ndarray:
     return b
 
 
-def a_sequence(K: int) -> np.ndarray:
-    """Identical recursion to :func:`b_sequence`; kept as a distinct export
-    because the lower-bound construction names it separately."""
-    return b_sequence(K)
-
-
 # ---------------------------------------------------------------------------
 # closed-form models
 
@@ -123,16 +116,21 @@ class UpperModel:
         return math.sqrt(N * self.C + self.beta**2) - self.beta
 
 
-def upper_model_smooth(m: UpperModel, N: int, log_k: float) -> float:
+def upper_model_smooth(m: UpperModel, N: int, log_k: FloatOrArray) -> FloatOrArray:
     """First-branch formula 1 - log(k)^2 / (N C), regardless of the junction."""
     return 1.0 - log_k**2 / (N * m.C)
 
 
-def upper_model_tail(m: UpperModel, N: int, log_k: float) -> float:
-    """Second-branch formula, exponential decay beyond the junction."""
+def upper_model_tail(m: UpperModel, N: int, log_k: FloatOrArray) -> FloatOrArray:
+    """Second-branch formula, exponential decay beyond the junction.
+
+    The exponent is clamped at 0, which only changes log k below the
+    junction, where the first branch applies; it keeps the exponential
+    finite there when whole columns are evaluated.
+    """
     t = m.threshold(N)
     coef = (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
-    return coef * math.exp(-(log_k - t) / m.beta)
+    return coef * np.exp(np.minimum(-(log_k - t) / m.beta, 0.0))
 
 
 def upper_model_values(m: UpperModel, N: int, k_max: int) -> np.ndarray:
@@ -141,11 +139,9 @@ def upper_model_values(m: UpperModel, N: int, k_max: int) -> np.ndarray:
         raise ValueError("N and k_max must be >= 1")
     logk = np.zeros(k_max + 1)
     logk[1:] = np.log(np.arange(1, k_max + 1, dtype=float))
-    t = m.threshold(N)
-    smooth = 1.0 - logk**2 / (N * m.C)
-    coef = (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
-    tail = coef * np.exp(np.minimum(-(logk - t) / m.beta, 0.0))
-    out = np.where(logk < t, smooth, tail)
+    out = np.where(
+        logk < m.threshold(N), upper_model_smooth(m, N, logk), upper_model_tail(m, N, logk)
+    )
     out[0] = 1.0
     return out
 
@@ -154,10 +150,10 @@ def upper_model_eval(m: UpperModel, N: int, k: int) -> float:
     """Scalar q_{N,k}; branch chosen by log k against the junction."""
     if N < 1 or k < 1:
         raise ValueError("N and k must be >= 1")
-    log_k = math.log(k)
+    log_k = np.log(float(k))
     if log_k < m.threshold(N):
-        return upper_model_smooth(m, N, log_k)
-    return upper_model_tail(m, N, log_k)
+        return float(upper_model_smooth(m, N, log_k))
+    return float(upper_model_tail(m, N, log_k))
 
 
 @dataclass(frozen=True)
@@ -192,6 +188,8 @@ class LowerStepModel:
             raise ValueError("c must be positive")
         if b.size < self.K:
             raise ValueError("b must cover k = 1..K-1 (1-indexed padded)")
+        if b[1] != 0.0:
+            raise ValueError("b_1 must be 0, so that q_{N,1} = 1")
         head = b[1 : self.K]
         if head.size and (head.min() < 0.0 or np.any(np.diff(head) < -_MONO_SLACK)):
             raise ValueError("b must be nonnegative and nondecreasing below K")
@@ -209,15 +207,6 @@ class LowerStepModel:
         if self.b.size <= self.K:
             return math.nan
         return float(self.b[self.K] - math.log(self.K) ** 2 / self.c)
-
-    def band_constant(self, k: int) -> float:
-        c_band = self.c
-        for threshold, c_r in self.steps:
-            if k >= threshold:
-                c_band = c_r
-            else:
-                break
-        return c_band
 
 
 def lower_model_values(m: LowerStepModel, N: int, k_max: int) -> np.ndarray:
@@ -246,15 +235,8 @@ def lower_model_values(m: LowerStepModel, N: int, k_max: int) -> np.ndarray:
 
 
 def lower_model_eval(m: LowerStepModel, N: int, k: int) -> float:
-    if N < 1 or k < 1:
-        raise ValueError("N and k must be >= 1")
-    if k < m.K:
-        return 1.0 if k == 1 else float(1.0 - m.b[k] / N)
-    c_band = m.band_constant(k)
-    log_k = math.log(k)
-    if log_k >= math.sqrt(N * c_band):
-        return 0.0
-    return 1.0 - log_k**2 / (c_band * N)
+    """Scalar q_{N,k}: entry k of :func:`lower_model_values`."""
+    return float(lower_model_values(m, N, k)[k])
 
 
 def lower_model_validity(m: LowerStepModel, N: int, k_max: int) -> Optional[Tuple[int, float]]:
@@ -321,24 +303,6 @@ class CertificateReport:
             out["grid_shape"] = list(self.residuals.shape)
             out["residuals"] = [[float(x) for x in row] for row in self.residuals]
         return out
-
-
-def recurrence_rhs(q: np.ndarray) -> np.ndarray:
-    """(1/2) sum_{l=1}^{k-1} (q_l - q_{l+1}) (q_{k-l} - q_k) for every k at once.
-
-    The cross term sum_l (q_l - q_{l+1}) q_{k-l} is a linear convolution of
-    the increment sequence with the values, so the whole column costs
-    O(K log K).
-    """
-    K = q.size - 1
-    rhs = np.zeros(K + 1)
-    if K < 2:
-        return rhs
-    d = q[1:K] - q[2 : K + 1]
-    conv = _convolve(d, q[1:])
-    kk = np.arange(2, K + 1)
-    rhs[kk] = 0.5 * (conv[kk - 2] - q[kk] * (q[1] - q[kk]))
-    return rhs
 
 
 def _norm_range(r: RangeLike, lo_default: int = 1) -> Tuple[int, int]:

@@ -140,12 +140,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _build_lower_model(args: argparse.Namespace) -> bounds.LowerStepModel:
-    # head: a_k below 33, squared log up to the threshold (the documented
+    # head: a_k = b_k below 33, squared log up to the threshold (the documented
     # construction); both pieces shrink when K itself is small
     K = args.K
     head = min(33, K)
     b = np.zeros(K)
-    a = bounds.a_sequence(max(head - 1, 1))
+    a = bounds.b_sequence(max(head - 1, 1))
     b[1:head] = a[1 : head]
     if K > 33:
         kk = np.arange(33, K)

@@ -39,6 +39,23 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fftconvolve(a, b)
 
 
+def _cross_term(q: np.ndarray) -> np.ndarray:
+    """sum_{l=1}^{k-1} (q_l - q_{l+1}) q_{k-l} for k = 2..K, as entries 0..K-2.
+
+    ``q`` is 1-indexed padded with K = q.size - 1 >= 2.  The sum is a linear
+    convolution of the increment sequence with the values, so the whole
+    column costs O(K log K) above the direct cutoff.
+    """
+    K = q.size - 1
+    d = q[1:K] - q[2 : K + 1]
+    return _convolve(d, q[1:])[: K - 1]
+
+
+def _survival_suffix(probs: np.ndarray, tail_mass: float) -> np.ndarray:
+    """P(X >= k) for k = 1..k_max from the padded mass array and lumped tail."""
+    return np.cumsum(probs[:0:-1])[::-1] + tail_mass
+
+
 def _clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     """Zero out tiny FFT round-off negatives; anything larger is a bug."""
     lo = arr.min()
@@ -116,7 +133,6 @@ class MassFunction:
     tail_mass: float
     level: int
     p_plus: float
-    k_min: int = 1
 
     def __post_init__(self) -> None:
         probs = np.ascontiguousarray(self.probs, dtype=float)
@@ -126,16 +142,15 @@ class MassFunction:
             raise ValueError("probs must be a 1-d array covering k_max >= 2")
         if probs[0] != 0.0:
             raise ValueError("probs[0] is padding and must be 0")
-        if self.k_min != 1:
-            raise ValueError("mass values start at 1")
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError("p_plus must be a probability")
-        if probs.min() < 0.0 or self.tail_mass < 0.0:
-            raise ValueError("negative probability entry")
+        # negated comparisons, so that NaN fails them too
+        if not (probs.min() >= 0.0 and self.tail_mass >= 0.0):
+            raise ValueError("negative or NaN probability entry")
         total = float(probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > NORM_EPS:
+        if not abs(total - 1.0) <= NORM_EPS:
             raise ValueError(f"mass not normalized: sum+tail = {total!r}")
         if self.level == 1 and (probs[1] != 1.0 or self.tail_mass != 0.0):
             raise ValueError("level 1 must be a point mass at k = 1")
@@ -148,7 +163,7 @@ class MassFunction:
         """Survival view: values[k] = P(X >= k) including the lumped tail."""
         vals = np.empty(self.k_max + 1)
         vals[0] = 1.0
-        vals[1:] = np.cumsum(self.probs[:0:-1])[::-1] + self.tail_mass
+        vals[1:] = _survival_suffix(self.probs, self.tail_mass)
         return SurvivalCurve(values=vals, tail_floor=self.tail_mass, level=self.level)
 
     def to_json_dict(self) -> dict:
@@ -178,9 +193,9 @@ class SurvivalCurve:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must cover at least k = 1")
-        if abs(vals[1] - 1.0) > NORM_EPS:
+        if not abs(vals[1] - 1.0) <= NORM_EPS:
             raise ValueError("P(X >= 1) must be 1")
-        if vals.min() < -_MONO_SLACK or vals.max() > 1.0 + NORM_EPS:
+        if not (vals.min() >= -_MONO_SLACK and vals.max() <= 1.0 + NORM_EPS):
             raise ValueError("survival values outside [0, 1]")
         if np.any(np.diff(vals[1:]) > _MONO_SLACK):
             raise ValueError("survival values must be nonincreasing")
@@ -192,19 +207,6 @@ class SurvivalCurve:
     @property
     def k_max(self) -> int:
         return self.values.size - 1
-
-    def to_pmf(self, p_plus: float) -> MassFunction:
-        """Mass view: probs[k] = values[k] - values[k+1], tail = tail_floor."""
-        probs = np.zeros(self.k_max + 1)
-        probs[1:-1] = self.values[1:-1] - self.values[2:]
-        probs[-1] = self.values[-1] - self.tail_floor
-        np.clip(probs, 0.0, None, out=probs)
-        return MassFunction(
-            probs=probs,
-            tail_mass=max(self.tail_floor, 0.0),
-            level=self.level,
-            p_plus=p_plus,
-        )
 
 
 def point_mass_initial(p_plus: float = 0.5, k_max: int = 2) -> MassFunction:
@@ -259,8 +261,7 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
         s = np.empty(cap + 2)  # s[k] = P(X >= k), s[cap+1] = mass beyond cap
         s[0] = 1.0
         upto = min(m.k_max, cap + 1)
-        suffix = np.cumsum(m.probs[:0:-1])[::-1] + m.tail_mass
-        s[1 : upto + 1] = suffix[: upto]
+        s[1 : upto + 1] = _survival_suffix(m.probs, m.tail_mass)[:upto]
         if cap + 1 > m.k_max:
             s[m.k_max + 1 :] = m.tail_mass
         sq = s * s
@@ -292,6 +293,21 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
     return MassFunction(probs=probs, tail_mass=tail, level=new_level, p_plus=p)
 
 
+def recurrence_rhs(q: np.ndarray) -> np.ndarray:
+    """(1/2) sum_{l=1}^{k-1} (q_l - q_{l+1}) (q_{k-l} - q_k) for every k at once.
+
+    ``q`` is a 1-indexed padded survival array; slots 0 and 1 of the result
+    are zero.  This is the increment of the one-level survival update, and
+    the bound certifiers test their models against it.
+    """
+    K = q.size - 1
+    rhs = np.zeros(K + 1)
+    if K < 2:
+        return rhs
+    rhs[2:] = 0.5 * (_cross_term(q) - q[2:] * (q[1] - q[2:]))
+    return rhs
+
+
 def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
     """Advance the survival curve one level by the critical quadratic recurrence.
 
@@ -304,14 +320,8 @@ def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
     """
     if p_plus != 0.5:
         raise ValueError("survival-form recurrence only applies at p_plus = 1/2")
-    vals = s.values
-    K = s.k_max
-    new = np.ones(K + 1)
-    if K >= 2:
-        d = vals[1:K] - vals[2 : K + 1]           # v[l] - v[l+1], l = 1..K-1
-        conv = np.convolve(d, vals[1:])           # conv[k-2] = sum_l d_l * v[k-l]
-        kk = np.arange(2, K + 1)
-        new[kk] = vals[kk] + 0.5 * (conv[kk - 2] - vals[kk] * (vals[1] - vals[kk]))
+    new = s.values + recurrence_rhs(s.values)
+    new[:2] = 1.0
     return SurvivalCurve(values=new, tail_floor=0.0, level=s.level + 1)
 
 
@@ -386,15 +396,6 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     lines = ["k,pmf,survival\n"]
     for k in range(1, m.k_max + 1):
         lines.append(f"{k},{float(m.probs[k])!r},{float(surv[k])!r}\n")
-    _write_text(out, "".join(lines))
-
-
-def write_curve_csv(s: SurvivalCurve, out: Union[str, TextIO]) -> None:
-    """Same schema as :func:`write_distribution_csv`, from the survival view."""
-    pmf = np.append(-np.diff(s.values[1:]), s.values[-1] - s.tail_floor)
-    lines = ["k,pmf,survival\n"]
-    for k in range(1, s.k_max + 1):
-        lines.append(f"{k},{float(pmf[k - 1])!r},{float(s.values[k])!r}\n")
     _write_text(out, "".join(lines))
 
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .distribution import (
     TruncationPolicy,
+    _MONO_SLACK,
+    _cross_term,
     _write_text,
     moments,
     point_mass_initial,
@@ -25,7 +27,6 @@ from .distribution import (
 
 SUBCRITICAL_K_CAP = 4096    # internal support cap; the family is tight below 1/2
 _TAIL_LIMIT = 1e-12         # required lumped tail at convergence
-_MONO_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,17 @@ def stationarity_residual(c: np.ndarray, p: float) -> float:
     """Sup residual of the limit-curve balance equation, for k = 2..k_max:
 
         c_k - (1-p) c_k^2 = p * [ sum_{l=1}^{k-2} (c_l - c_{l+1}) c_{k-l} + c_{k-1} ].
+
+    The sum is the recurrence cross term (which runs to l = k-1) without its
+    last summand (c_{k-1} - c_k) c_1.
     """
     k_max = c.size - 1
-    worst = 0.0
-    for k in range(2, k_max + 1):
-        bracket = c[k - 1]
-        for ell in range(1, k - 1):
-            bracket += (c[ell] - c[ell + 1]) * c[k - ell]
-        lhs = c[k] - (1.0 - p) * c[k] ** 2
-        worst = max(worst, abs(lhs - p * bracket))
-    return worst
+    if k_max < 2:
+        return 0.0
+    ck, prev = c[2:], c[1:k_max]
+    bracket = _cross_term(c) - (prev - ck) * c[1] + prev
+    lhs = ck - (1.0 - p) * ck**2
+    return float(np.max(np.abs(lhs - p * bracket)))
 
 
 def supercritical_growth(p: float, n_max: int) -> np.ndarray:

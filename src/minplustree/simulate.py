@@ -67,33 +67,20 @@ class EmpiricalSummary:
 
 
 def sample_one(depth: int, p_plus: float, rng: np.random.Generator) -> int:
-    """One realization of the root value.
-
-    Post-order evaluation with a stack of at most ``depth`` pending subtree
-    values; after pushing leaf number i, the number of merges equals the
-    number of trailing one bits of i.  Time is O(2^(depth-1)) node visits,
-    memory O(depth).
-    """
+    """One realization of the root value: a batch of one from :func:`_sample_batch`."""
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
-    if depth == 1:
-        return 1
-    pending = [0] * depth
-    for leaf in range(2 ** (depth - 1)):
-        v = 1
-        d = 0
-        t = leaf
-        while t & 1:
-            w = pending[d]
-            v = v + w if rng.random() < p_plus else min(v, w)
-            d += 1
-            t >>= 1
-        pending[d] = v
-    return pending[depth - 1]
+    return int(_sample_batch(depth, p_plus, 1, rng)[0])
 
 
 def _sample_batch(depth: int, p_plus: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Same post-order schedule as sample_one, vectorized across n samples.
+    """n independent root values at once.
+
+    Post-order evaluation with a stack of at most ``depth`` pending subtree
+    values per sample; after pushing leaf number i, the number of merges
+    equals the number of trailing one bits of i.  Time is O(2^(depth-1))
+    vectorized node visits, memory O(depth * n).
+    """
     if depth == 1:
         return np.ones(n, dtype=np.uint64)
     stack = np.zeros((depth, n), dtype=np.uint64)

@@ -7,7 +7,6 @@ from minplustree.bounds import (
     CertificateReport,
     LowerStepModel,
     UpperModel,
-    a_sequence,
     b_sequence,
     certify_lower,
     certify_upper,
@@ -33,9 +32,9 @@ def random_sk(k, rng=RNG):
 
 
 def make_log_splice(k_bar, c):
-    # a_k head below 33, squared log up to the threshold
+    # a_k = b_k head below 33, squared log up to the threshold
     b = np.zeros(k_bar)
-    a = a_sequence(32)
+    a = b_sequence(32)
     b[1:33] = a[1:33]
     b[33:] = np.log(np.arange(33, k_bar)) ** 2
     return LowerStepModel(b=b, K=k_bar, c=c)
@@ -103,10 +102,12 @@ def test_f_monotone_on_sk():
 
 
 def test_recurrence_rhs_matches_f():
-    q = np.concatenate(([1.0], random_sk(60)))
-    rhs = recurrence_rhs(q)
-    for k in (2, 13, 60):
-        assert rhs[k] == pytest.approx(f_eval(q[1 : k + 1]) - q[k], abs=1e-12)
+    # K = 5000 is above the direct cutoff, so it checks the FFT branch
+    for K, ks in ((60, (2, 13, 60)), (5000, (2, 13, 4097, 5000))):
+        q = np.concatenate(([1.0], random_sk(K)))
+        rhs = recurrence_rhs(q)
+        for k in ks:
+            assert rhs[k] == pytest.approx(f_eval(q[1 : k + 1]) - q[k], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +135,8 @@ def test_b_sequence_dominates_critical_floor():
     assert np.all(b[2:] > 3 * np.log(kk) ** 2 / math.pi**2)
 
 
-def test_a_equals_b():
-    np.testing.assert_array_equal(a_sequence(150), b_sequence(150))
-
-
 def test_a_below_squared_log_in_window():
-    a = a_sequence(12000)
+    a = b_sequence(12000)
     kk = np.arange(33, 12001)
     assert np.all(a[33:] <= np.log(kk) ** 2)
 
@@ -161,6 +158,16 @@ def test_upper_model_k1_is_one():
     m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
     assert upper_model_eval(m, 7, 1) == 1.0
     assert upper_model_values(m, 7, 10)[1] == 1.0
+
+
+def test_upper_model_eval_matches_values():
+    # the scalar and the column go through the same branch formulas
+    for C, beta in ((1.1 * CRITICAL_C, 2.0), (0.8 * CRITICAL_C, 1.5)):
+        m = UpperModel(C=C, beta=beta)
+        for N in (5, 50):
+            vals = upper_model_values(m, N, 99_999)
+            for k in (1, 2, 40, 1000, 99_999):
+                assert upper_model_eval(m, N, k) == vals[k]
 
 
 def test_upper_model_nonincreasing_in_k():
@@ -210,8 +217,14 @@ def test_lower_model_junction_continuity():
     assert lower_model_eval(m, N, K) == pytest.approx(head_end, abs=1e-12)
 
 
+def test_lower_model_rejects_nonzero_b1():
+    # q_{N,1} = 1 - b_1 / N must be 1 for the array to be a survival curve
+    with pytest.raises(ValueError):
+        LowerStepModel(b=np.array([0.0, 0.5, 0.5, 0.6]), K=4, c=1.0)
+
+
 def test_lower_model_validity_reporting():
-    a = a_sequence(151)
+    a = b_sequence(151)
     m = LowerStepModel(b=a, K=151, c=1.0)
     # at N = 10 the head dips negative around a_k > 10
     bad = lower_model_validity(m, 10, 150)
@@ -222,11 +235,10 @@ def test_lower_model_validity_reporting():
 def test_lower_model_step_bands():
     b = np.array([0.0, 0.0])
     m = LowerStepModel(b=b, K=2, c=1.0, steps=((100, 1.5), (1000, 2.0)))
-    assert m.band_constant(50) == 1.0
-    assert m.band_constant(100) == 1.5
-    assert m.band_constant(5000) == 2.0
-    vals = lower_model_values(m, 10_000, 2000)
-    assert vals[1500] == pytest.approx(1.0 - math.log(1500) ** 2 / (2.0 * 10_000), abs=1e-12)
+    N = 10_000
+    vals = lower_model_values(m, N, 5000)
+    for k, c_band in ((50, 1.0), (99, 1.0), (100, 1.5), (1500, 2.0), (5000, 2.0)):
+        assert vals[k] == pytest.approx(1.0 - math.log(k) ** 2 / (c_band * N), abs=1e-12)
     with pytest.raises(ValueError):
         LowerStepModel(b=b, K=2, c=1.0, steps=((2, 1.5),))
 
@@ -238,7 +250,7 @@ def test_lower_model_step_bands():
 def test_certify_lower_a_sequence_margin_formula():
     # the defining polynomial collapses the inequality residual to
     # a_k / (N^2 (N+1)); check the grid against that closed form
-    a = a_sequence(101)
+    a = b_sequence(101)
     m = LowerStepModel(b=a, K=101, c=1.0)
     rep = certify_lower(m, (30, 34), 100, keep_grid=True)
     assert rep.min_margin >= 0.0
@@ -248,7 +260,7 @@ def test_certify_lower_a_sequence_margin_formula():
 
 
 def test_certify_lower_a_sequence_onset():
-    a = a_sequence(151)
+    a = b_sequence(151)
     m = LowerStepModel(b=a, K=151, c=1.0)
     early = certify_lower(m, (10, 15), 150)
     assert early.min_margin >= 0.0 and not early.curve_valid
@@ -257,7 +269,7 @@ def test_certify_lower_a_sequence_onset():
 
 
 def test_certify_lower_k1_residual_zero():
-    a = a_sequence(10)
+    a = b_sequence(10)
     m = LowerStepModel(b=a, K=10, c=1.0)
     rep = certify_lower(m, (30, 30), (1, 1), keep_grid=True)
     assert rep.residuals[0][0] == 0.0

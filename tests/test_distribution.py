@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -317,3 +318,12 @@ def test_json_roundtrip():
     np.testing.assert_array_equal(back.probs, m.probs)
     assert back.tail_mass == m.tail_mass
     assert back.level == m.level and back.p_plus == m.p_plus
+
+
+def test_json_rejects_nan():
+    d = evolve(3, 0.5, TruncationPolicy(k_max=4)).to_json_dict()
+    bad_entry = dict(d, probs=[d["probs"][0], math.nan] + d["probs"][2:])
+    with pytest.raises(ValueError):
+        mass_function_from_json(json.loads(json.dumps(bad_entry)))
+    with pytest.raises(ValueError):
+        mass_function_from_json(dict(d, tail_mass=math.nan))

@@ -47,6 +47,20 @@ def test_limit_survival_stationarity():
         assert stationarity_residual(c, p) < 10 * tol
 
 
+def test_stationarity_residual_matches_formula():
+    # per-k loop of the docstring formula on a nonincreasing vector, c_1 = 1
+    rng = np.random.default_rng(11)
+    c = np.concatenate(([1.0, 1.0], np.sort(rng.random(199))[::-1]))
+    p = 0.37
+    worst = 0.0
+    for k in range(2, c.size):
+        bracket = c[k - 1]
+        for ell in range(1, k - 1):
+            bracket += (c[ell] - c[ell + 1]) * c[k - ell]
+        worst = max(worst, abs(c[k] - (1.0 - p) * c[k] ** 2 - p * bracket))
+    assert stationarity_residual(c, p) == pytest.approx(worst, rel=1e-12)
+
+
 def test_limit_survival_domain_and_convergence_guard():
     with pytest.raises(ValueError):
         limit_survival(0.5, k_max=8)

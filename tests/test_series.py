@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minplustree.distribution import TruncationPolicy, evolve, point_mass_initial, step_pmf
+from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.series import (
     LIMIT_MEAN,
     PI2_OVER_6,
@@ -137,20 +137,6 @@ def test_limit_mean_constant():
 # diagnostics against the exact distribution
 
 
-@pytest.fixture(scope="module")
-def diagnostics_chain():
-    # one evolution, snapshots at the levels the tests need
-    pol = TruncationPolicy(k_max=1_000_000)
-    m = point_mass_initial(0.5)
-    wanted = {10, 15, 20, 40, 60, 80}
-    out = {}
-    for level in range(2, 81):
-        m = step_pmf(m, pol)
-        if level in wanted:
-            out[level] = diagnose(m)
-    return out
-
-
 def test_diagnose_rejects_off_critical():
     m = evolve(4, 0.4, TruncationPolicy(k_max=8))
     with pytest.raises(ValueError):
@@ -164,14 +150,14 @@ def test_diagnose_two_point_level():
     assert d.target_mean == LIMIT_MEAN
 
 
-def test_ks_distance_quadruple_level(diagnostics_chain):
-    d = diagnostics_chain
+def test_ks_distance_quadruple_level(critical_chain):
+    d = critical_chain.diagnostics
     for n in (10, 15, 20):
         assert d[4 * n].ks_distance < d[n].ks_distance
 
 
-def test_mean_scaled_increases(diagnostics_chain):
-    d = diagnostics_chain
+def test_mean_scaled_increases(critical_chain):
+    d = critical_chain.diagnostics
     means = [d[n].mean_scaled for n in (10, 20, 40, 60)]
     assert all(a < b for a, b in zip(means, means[1:]))
     assert means[-1] < LIMIT_MEAN
