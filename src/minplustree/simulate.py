@@ -1,19 +1,36 @@
 """Independent Monte Carlo oracle: sample root values of the random tree.
 
-Sampling walks the complete tree in post order with a pending-value stack
-of at most ``depth`` entries, so the tree itself is never materialized.
-Streams come from the counter-based Philox generator seeded through
-``numpy``'s SeedSequence spawning, which makes worker substreams provably
-non-overlapping and runs reproducible across platforms.
+Sampling reduces the tree one level at a time on a block of subtrees: a
+block holds ``rows`` samples of a height-``h`` subtree, position-major, so
+each level pairs the two contiguous halves of the block and writes the
+parents in place with ``min(a, b) + plus * max(a, b)``.  Values are the
+narrowest unsigned type that holds ``2^(depth-1)`` (uint16 up to depth 16),
+and ``rows`` keeps the leaf block within ``_BLOCK_BYTES``, so memory is
+bounded by that budget whatever the sample count.  Trees deeper than the
+block combine their ``2^(depth-1-h)`` subtree roots with a post-order stack
+of at most ``depth - h`` pending rows.
+
+Each plus/min choice reads fresh random bits and compares them lazily with
+the binary expansion of ``p`` (every float is a dyadic rational), so
+P(plus) = p exactly, with no rounding of ``p`` to a 32- or 53-bit grid.
+Bits come 64 to a raw word of the counter-based Philox generator, one word
+per 64 nodes for each binary digit of ``p``, until no node of the block is
+undecided: one bit decides each node at p = 1/2, p in {0, 1} draws none,
+and other p take about log2 of the block's node count.  The generator is
+seeded through ``numpy``'s SeedSequence spawning, which makes
+worker substreams provably non-overlapping and runs reproducible across
+platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits is
+refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, TextIO, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
@@ -21,8 +38,24 @@ from scipy.stats import chi2 as _chi2
 from .distribution import CRITICAL_C, MassFunction, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
-_BATCH = 1 << 16                    # samples evolved per vectorized pass
+_BLOCK_BYTES = 1 << 21              # leaf block of one level-synchronous pass
+_MAX_LEAF_SAMPLES = 1 << 38         # n * 2^(depth-1): minutes to tens of minutes of one core
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+def _check_request(depth: int, p_plus: float, n_samples: int) -> None:
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
+    if not 0.0 <= p_plus <= 1.0:
+        raise ValueError("p_plus must be a probability")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    leaves = n_samples * 2 ** (depth - 1)
+    if leaves > _MAX_LEAF_SAMPLES:
+        raise ValueError(
+            f"{n_samples} samples at depth {depth} visit {leaves:.3e} leaves, "
+            f"more than the limit of {_MAX_LEAF_SAMPLES:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -34,14 +67,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
-        if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError("p_plus must be a probability")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_request(self.depth, self.p_plus, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -67,49 +95,140 @@ class EmpiricalSummary:
 
 
 def sample_one(depth: int, p_plus: float, rng: np.random.Generator) -> int:
-    """One realization of the root value: a batch of one from :func:`_sample_batch`."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
-    return int(_sample_batch(depth, p_plus, 1, rng)[0])
+    """One realization of the root value: a block of one row."""
+    _check_request(depth, p_plus, 1)
+    return int(_Sampler(depth, p_plus, 1, rng.bit_generator).sample(1)[0])
 
 
-def _sample_batch(depth: int, p_plus: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent root values at once.
+def _value_dtype(depth: int) -> np.dtype:
+    """Narrowest of uint16/32/64 that holds the largest root value 2^(depth-1)."""
+    return np.promote_types(np.min_scalar_type(2 ** (depth - 1)), np.uint16)
 
-    Post-order evaluation with a stack of at most ``depth`` pending subtree
-    values per sample; after pushing leaf number i, the number of merges
-    equals the number of trailing one bits of i.  Time is O(2^(depth-1))
-    vectorized node visits, memory O(depth * n).
+
+def _block_shape(depth: int) -> Tuple[int, int]:
+    """Subtree height h and row count of a block of at most ``_BLOCK_BYTES``."""
+    elements = _BLOCK_BYTES // _value_dtype(depth).itemsize
+    h = min(depth - 1, elements.bit_length() - 1)
+    return h, max(1, elements >> h)
+
+
+_Law = Tuple[int, Tuple[int, ...]]  # integer part and binary fraction digits of p
+
+
+def _binary_digits(p: float) -> _Law:
+    """Integer part and binary fraction digits of p: p = ip + sum_i d_i 2^-i exactly."""
+    m, den = float(p).as_integer_ratio()
+    size = den.bit_length() - 1
+    return m >> size, tuple((m >> (size - i)) & 1 for i in range(1, size + 1))
+
+
+def _plus_masks(sizes: List[int], law: _Law,
+                bitgen: np.random.BitGenerator) -> Iterator[np.ndarray]:
+    """Independent 0/1 plus indicators with P(1) = p exactly: one uint8 mask per size.
+
+    Node j reads fresh bits u_1, u_2, ... and stops at the first i with
+    u_i == d_i, the i-th binary digit of p; it is a plus node when that
+    digit is 1, so P(plus) = sum over d_i = 1 of 2^-i = p.  A node that
+    matches no digit is a plus node only when p = 1 (integer part 1, no
+    digits).  Nodes are packed 64 to a Philox word, and each digit round
+    draws one word for every word until no node is undecided.  All bits
+    are drawn when the first mask is requested, and each mask is unpacked
+    when it is requested.
     """
-    if depth == 1:
-        return np.ones(n, dtype=np.uint64)
-    stack = np.zeros((depth, n), dtype=np.uint64)
-    for leaf in range(2 ** (depth - 1)):
-        v = np.ones(n, dtype=np.uint64)
-        d = 0
-        t = leaf
-        while t & 1:
-            w = stack[d]
-            plus = rng.random(n) < p_plus
-            v = np.where(plus, v + w, np.minimum(v, w))
-            d += 1
-            t >>= 1
-        stack[d] = v
-    return stack[depth - 1]
+    whole, digits = law
+    word_sizes = [(n + 63) // 64 for n in sizes]
+    plus = np.full(sum(word_sizes), ~np.uint64(0) if whole else np.uint64(0))
+    undecided = np.full(plus.size, ~np.uint64(0))
+    for d in digits:
+        stop = bitgen.random_raw(undecided.size)
+        if not d:
+            np.invert(stop, out=stop)
+        stop &= undecided
+        if d:
+            plus |= stop
+        undecided ^= stop
+        if not undecided.any():
+            break
+    # little-endian bytes give every platform the same node-to-bit order
+    packed = plus.astype("<u8", copy=False).view(np.uint8)
+    start = 0
+    for n, words in zip(sizes, word_sizes):
+        yield np.unpackbits(packed[8 * start : 8 * (start + words)], count=n)
+        start += words
+
+
+def _combine(a: np.ndarray, b: np.ndarray, plus: np.ndarray,
+             hi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Parents min(a, b) + plus * max(a, b), written into a; ``hi`` is scratch."""
+    hi = np.maximum(a, b, out=hi)
+    np.minimum(a, b, out=a)
+    hi *= plus
+    a += hi
+    return a
+
+
+class _Sampler:
+    """Root values of one random stream, drawn a block of at most ``rows`` at a time.
+
+    Height-h subtrees are reduced level by level on a (2^h, n) block; the
+    2^(depth-1-h) subtree roots are merged in post order, and after pushing
+    root number t the number of merges equals the number of trailing one
+    bits of t, so the stack holds at most depth - h rows.  The block's
+    buffers are kept across calls: allocating them afresh for each block
+    page-faulted them in again, which took as long as the reduction.
+    """
+
+    def __init__(self, depth: int, p_plus: float, rows: int, bitgen: np.random.BitGenerator):
+        self.depth = depth
+        self.dtype = _value_dtype(depth)
+        self.h = _block_shape(depth)[0]
+        self.law = _binary_digits(p_plus)
+        self.bitgen = bitgen
+        parents = (rows << self.h) // 2
+        self.values = np.empty(parents, dtype=self.dtype)
+        self.hi = np.empty(parents // 2, dtype=self.dtype)
+
+    def sample(self, n: int) -> np.ndarray:
+        """n independent root values, n at most ``rows``."""
+        if self.depth == 1:
+            return np.ones(n, dtype=self.dtype)
+        stack: List[np.ndarray] = []
+        for t in range(1 << (self.depth - 1 - self.h)):
+            v = self._subtree_roots(n)
+            while t & 1:
+                v = _combine(stack.pop(), v, next(_plus_masks([n], self.law, self.bitgen)))
+                t >>= 1
+            stack.append(v)
+        return stack[0]
+
+    def _subtree_roots(self, n: int) -> np.ndarray:
+        # Position-major block: the parents of level i are the first and
+        # second halves of level i - 1 paired entrywise.  The leaves are all
+        # ones, so the first level is 1 + plus.
+        sizes = [n << level for level in range(self.h - 1, -1, -1)]
+        masks = _plus_masks(sizes, self.law, self.bitgen)
+        v = np.add(next(masks), 1, out=self.values[: sizes[0]])
+        for c, plus in zip(sizes[1:], masks):
+            v = _combine(v[:c], v[c:], plus, self.hi[:c])
+        return v.copy()
 
 
 def _worker_counts(cfg: SimConfig, share: int, seq: np.random.SeedSequence) -> Dict[int, int]:
-    rng = np.random.Generator(np.random.Philox(seq))
+    rows = max(1, min(_block_shape(cfg.depth)[1], share))
+    sampler = _Sampler(cfg.depth, cfg.p_plus, rows, np.random.Philox(seq))
     counts: Dict[int, int] = {}
-    remaining = share
-    while remaining > 0:
-        batch = min(_BATCH, remaining)
-        values = _sample_batch(cfg.depth, cfg.p_plus, batch, rng)
+    for start in range(0, share, rows):
+        values = sampler.sample(min(rows, share - start))
         uniq, cnt = np.unique(values, return_counts=True)
         for v, c in zip(uniq.tolist(), cnt.tolist()):
             counts[v] = counts.get(v, 0) + c
-        remaining -= batch
     return counts
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run(cfg: SimConfig) -> EmpiricalSummary:
@@ -117,7 +236,8 @@ def run(cfg: SimConfig) -> EmpiricalSummary:
 
     Worker ``w`` draws from an independent Philox substream spawned from
     (seed, w), and worker shares are fixed by index, so the merged counts
-    depend only on (seed, workers), never on scheduling.
+    depend only on (seed, workers), never on scheduling.  The thread pool
+    holds at most one thread per usable CPU; extra workers queue on it.
     """
     base = cfg.n_samples // cfg.workers
     shares = [base + (1 if w < cfg.n_samples % cfg.workers else 0) for w in range(cfg.workers)]
@@ -126,7 +246,7 @@ def run(cfg: SimConfig) -> EmpiricalSummary:
     if cfg.workers == 1:
         per_worker = [_worker_counts(cfg, shares[0], seqs[0])]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(cfg.workers, _usable_cpus())) as pool:
             futures = [pool.submit(_worker_counts, cfg, shares[w], seqs[w]) for w in range(cfg.workers)]
             per_worker = [f.result() for f in futures]
 

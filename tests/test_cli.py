@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,14 @@ def test_sample_deterministic_output(tmp_path):
     assert lines[0] == "value,count"
     total = sum(int(row.split(",")[1]) for row in lines[1:])
     assert total == 20000
+
+
+def test_sample_refuses_infeasible_work(capsys):
+    # 2^39 leaves: refused before any sampling starts
+    t0 = time.perf_counter()
+    assert main(["sample", "--depth", "40", "--samples", "1"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "leaves" in capsys.readouterr().err
 
 
 def test_sample_json(tmp_path):

@@ -1,10 +1,14 @@
 import math
+import os
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from minplustree import simulate
 from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.simulate import (
     EmpiricalSummary,
@@ -26,15 +30,46 @@ def test_sample_one_depth1():
     assert all(sample_one(1, 0.5, rng) == 1 for _ in range(10))
 
 
+def _untouched(rng, seed=0):
+    # the next raw word equals the first word of a fresh generator
+    return rng.bit_generator.random_raw() == _rng(seed).bit_generator.random_raw()
+
+
 def test_sample_one_forced_plus():
     rng = _rng()
     assert all(sample_one(2, 1.0, rng) == 2 for _ in range(10))
     assert all(sample_one(5, 1.0, rng) == 16 for _ in range(5))
+    # 2^15 is the largest root held in uint16; 2^16 needs uint32
+    assert sample_one(16, 1.0, rng) == 2**15
+    assert sample_one(17, 1.0, rng) == 2**16
+    assert _untouched(rng)
 
 
 def test_sample_one_pure_min():
     rng = _rng()
     assert all(sample_one(6, 0.0, rng) == 1 for _ in range(5))
+    assert _untouched(rng)
+
+
+def test_binary_digits_exact():
+    for p in (0.0, 0.1, 0.3, 0.375, 0.5, 1.0, 5e-324, 1 - 2**-53):
+        whole, digits = simulate._binary_digits(p)
+        value = whole + sum(Fraction(d, 2**i) for i, d in enumerate(digits, start=1))
+        assert value == Fraction(p)
+
+
+def test_plus_masks_one_bit_per_node_at_half():
+    # masks of 600 and 40 nodes at p = 1/2 take 10 + 1 raw words; p = 0 and 1 take none
+    rng = _rng(4)
+    masks = list(simulate._plus_masks([600, 40], simulate._binary_digits(0.5), rng.bit_generator))
+    assert [m.size for m in masks] == [600, 40]
+    assert set(np.concatenate(masks).tolist()) == {0, 1}
+    fresh = _rng(4).bit_generator
+    fresh.random_raw(11)
+    for p in (0.0, 1.0):
+        (mask,) = simulate._plus_masks([100], simulate._binary_digits(p), rng.bit_generator)
+        assert mask.tolist() == [int(p)] * 100
+    assert rng.bit_generator.random_raw() == fresh.random_raw()
 
 
 def test_sample_one_depth3_frequencies():
@@ -77,6 +112,57 @@ def test_run_depth2_concentration():
 def test_run_all_plus_mean():
     summary = run(SimConfig(depth=7, p_plus=1.0, n_samples=2_000, seed=3, workers=2))
     assert summary.counts == {64: 2_000}
+    summary = run(SimConfig(depth=17, p_plus=1.0, n_samples=50, seed=3))
+    assert summary.counts == {65536: 50}
+
+
+@pytest.mark.parametrize("p", [0.3, 0.375])
+def test_run_matches_exact_off_half(p):
+    # criterion 3's thresholds, at a non-dyadic and a dyadic p
+    exact = evolve(6, p, TruncationPolicy(k_max=32))
+    summary = run(SimConfig(depth=6, p_plus=p, n_samples=1_000_000, seed=6, workers=2))
+    rep = compare_to_exact(summary, exact)
+    assert rep.max_abs_cdf_gap < 0.002
+    assert rep.chi2_pvalue > 0.001
+
+
+def test_deep_tree_stack(monkeypatch):
+    # a 4-element block makes depth 5 four height-2 subtrees merged on the stack
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8)
+    assert run(SimConfig(depth=5, p_plus=1.0, n_samples=100, seed=2)).counts == {16: 100}
+    summary = run(SimConfig(depth=5, p_plus=0.5, n_samples=4_000, seed=2))
+    rep = compare_to_exact(summary, evolve(5, 0.5, TruncationPolicy(k_max=16)))
+    # DKW at level 0.001 for n = 4000 gives 0.031
+    assert rep.max_abs_cdf_gap < 0.031
+    assert rep.chi2_pvalue > 0.001
+
+
+def test_run_memory_bounded_by_block():
+    tracemalloc.start()
+    try:
+        run(SimConfig(depth=10, p_plus=0.5, n_samples=200_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * simulate._BLOCK_BYTES
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+def test_thread_pool_bounded_by_cpus(monkeypatch):
+    seen = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    cfg = SimConfig(depth=3, p_plus=0.5, n_samples=200, seed=5, workers=64)
+    summary = run(cfg)
+    assert seen == [min(64, len(os.sched_getaffinity(0)))]
+    # substreams and shares follow the worker index, not the pool size
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", lambda max_workers: ThreadPoolExecutor(1))
+    assert run(cfg) == summary
 
 
 def test_scaled_quantiles_ordering():
@@ -133,3 +219,12 @@ def test_config_validation():
         SimConfig(depth=2, p_plus=1.5, n_samples=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(depth=2, p_plus=0.5, n_samples=0, seed=0)
+    # more leaf visits than the work limit
+    with pytest.raises(ValueError):
+        SimConfig(depth=40, p_plus=0.5, n_samples=1, seed=0)
+    with pytest.raises(ValueError):
+        SimConfig(depth=10, p_plus=0.5, n_samples=2**30, seed=0)
+    with pytest.raises(ValueError):
+        sample_one(40, 0.5, _rng())
+    with pytest.raises(ValueError):
+        sample_one(3, 1.5, _rng())
