@@ -19,13 +19,10 @@ from . import bounds, regimes, selftest, series, simulate
 from .distribution import (
     CRITICAL_C,
     TruncationPolicy,
-    default_growth_rule,
     evolve_record,
     write_distribution_csv,
     write_distribution_json,
 )
-
-_AUTO_KMAX_LIMIT = 1 << 26  # refuse auto caps that would not fit in memory
 
 
 def _probability(text: str) -> float:
@@ -91,11 +88,6 @@ def _summary(line: str) -> None:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.kmax == "auto":
-        cap = default_growth_rule(args.N)
-        if cap > _AUTO_KMAX_LIMIT:
-            raise ValueError(
-                f"auto cap {cap} at N={args.N} is too large; pass an explicit --kmax"
-            )
         policy = TruncationPolicy.auto(tail_mode=args.tail_mode)
     else:
         policy = TruncationPolicy(k_max=args.kmax, tail_mode=args.tail_mode)

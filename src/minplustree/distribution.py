@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 # Scaling constant of the critical (p = 1/2) mixture: log X_N lives on the
 # scale sqrt(CRITICAL_C * N).
@@ -28,15 +27,48 @@ CRITICAL_C = math.pi ** 2 / 3
 
 NORM_EPS = 1e-9          # tolerance for sum(probs) + tail_mass == 1
 DIRECT_CONV_MAX = 4096   # direct O(K^2) convolution at or below this size
+KMAX_LIMIT = 1 << 26     # largest support cap of any level: 512 MiB per array
 _CLAMP_FLOOR = -1e-12    # FFT round-off more negative than this is a bug
 _MONO_SLACK = 1e-12      # float slack when validating monotone curves
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a fast length for a real FFT.
+
+    This is the length ``scipy.fft.next_fast_len(n, real=True)`` returns.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution: direct for short inputs, FFT-based above the cutoff."""
+    """Linear convolution: direct for short inputs, FFT-based above the cutoff.
+
+    The FFT branch zero-pads to the 5-smooth length ``_fast_len`` and
+    multiplies real spectra.  A self-convolution (``b is a``) transforms its
+    operand once and squares the spectrum in place, so it costs one forward
+    and one inverse transform; distinct operands take two forward transforms.
+    These are the lengths and products of ``scipy.signal.fftconvolve``, and
+    the tests check that the results agree bit for bit.
+    """
     if max(a.size, b.size) <= DIRECT_CONV_MAX:
         return np.convolve(a, b)
-    return fftconvolve(a, b)
+    n = a.size + b.size - 1
+    length = _fast_len(n)
+    spec = np.fft.rfft(a, length)
+    if b is a:
+        np.multiply(spec, spec, out=spec)
+    else:
+        spec *= np.fft.rfft(b, length)
+    return np.fft.irfft(spec, length)[:n]
 
 
 def _cross_term(q: np.ndarray) -> np.ndarray:
@@ -91,7 +123,8 @@ class TruncationPolicy:
     ``k_max`` is a fixed cap unless ``growth_rule`` is given, in which case
     the cap is ``growth_rule(level)`` per level.  ``tail_mode`` is either
     ``"lump"`` (mass above the cap is conserved as a scalar) or ``"drop"``
-    (mass above the cap is discarded and the rest renormalized).
+    (mass above the cap is discarded and the rest renormalized).  A cap
+    above ``KMAX_LIMIT`` is refused.
     """
 
     k_max: Optional[int] = None
@@ -117,6 +150,11 @@ class TruncationPolicy:
             cap = int(self.k_max)  # type: ignore[arg-type]
         if cap < 2:
             raise ValueError(f"cap {cap} at level {level} is below 2")
+        if cap > KMAX_LIMIT:
+            raise ValueError(
+                f"cap {cap} at level {level} is above the limit of {KMAX_LIMIT} entries; "
+                "pass a smaller fixed k_max"
+            )
         return cap
 
 
@@ -337,9 +375,15 @@ def evolve_record(
     policy: TruncationPolicy,
     tail_budget: Optional[float] = None,
 ) -> EvolveRecord:
-    """Iterate :func:`step_pmf` to the target level, recording tail per level."""
+    """Iterate :func:`step_pmf` to the target level, recording tail per level.
+
+    Every level's cap is checked against ``KMAX_LIMIT`` before the first
+    step, so a policy that would outgrow memory fails at once.
+    """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
+    for level in range(2, n_target + 1):
+        policy.cap_for(level)
     m = point_mass_initial(p_plus, k_max=2)
     history = [0.0]
     exceeded = False

@@ -52,6 +52,11 @@ def test_evolve_auto_cap_guard(capsys):
     rc = main(["evolve", "--N", "200", "--kmax", "auto"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # a fixed cap above 2^26 entries is refused before the first level
+    t0 = time.perf_counter()
+    assert main(["evolve", "--N", "3", "--kmax", str(2**26 + 1)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "above the limit" in capsys.readouterr().err
 
 
 def test_evolve_outputs_identical(tmp_path):

@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from minplustree.distribution import (
+    KMAX_LIMIT,
     MassFunction,
     SurvivalCurve,
     TruncationPolicy,
@@ -19,6 +21,8 @@ from minplustree.distribution import (
     step_pmf,
     step_survival,
     write_distribution_csv,
+    _convolve,
+    _fast_len,
 )
 
 from enum_oracle import enumerate_pmf
@@ -229,6 +233,44 @@ def test_growth_rule_defaults():
         TruncationPolicy(k_max=None, growth_rule=None)
     with pytest.raises(ValueError):
         TruncationPolicy(k_max=8, tail_mode="spill")
+
+
+def test_cap_ceiling_refused_before_evolving():
+    # auto caps pass 2^26 at level 28; the refusal comes before the first step
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"cap 134217728 at level 28"):
+        evolve(60, 0.5, TruncationPolicy.auto())
+    assert time.perf_counter() - t0 < 1.0
+    assert TruncationPolicy(k_max=KMAX_LIMIT).cap_for(40) == KMAX_LIMIT
+    too_wide = TruncationPolicy(k_max=KMAX_LIMIT + 1)
+    with pytest.raises(ValueError, match="at level 2 "):
+        evolve_record(3, 0.5, too_wide)
+    with pytest.raises(ValueError, match="above the limit"):
+        step_pmf(point_mass_initial(0.5), too_wide)
+
+
+# ---------------------------------------------------------------------------
+# FFT branch: same lengths and bits as scipy.signal.fftconvolve
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    for n in [*range(4097, 60001), *range(1999990, 2000101)]:
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("size", [4097, 5003, 2**17 + 1])
+def test_fft_convolution_bitwise_matches_fftconvolve(size):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(size)
+    seg = rng.random(size)
+    seg /= seg.sum()
+    np.testing.assert_array_equal(_convolve(seg, seg), fftconvolve(seg, seg))
+    other = rng.random(size - 3)
+    np.testing.assert_array_equal(_convolve(seg, other), fftconvolve(seg, other))
+    np.testing.assert_array_equal(_convolve(other, seg), fftconvolve(other, seg))
 
 
 # ---------------------------------------------------------------------------

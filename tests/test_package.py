@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import minplustree
 
 
@@ -8,3 +12,16 @@ def test_all_names_resolve():
     namespace: dict = {}
     exec("from minplustree import *", namespace)
     assert set(minplustree.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs over a second of import; only compare_to_exact loads it, lazily
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys, minplustree.cli\n"
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

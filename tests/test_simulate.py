@@ -196,6 +196,25 @@ def test_compare_depth3_large_sample():
     assert rep.max_abs_cdf_gap < 0.005
 
 
+def test_compare_pvalue_matches_chi2_sf():
+    from scipy.stats import chi2
+
+    exact = evolve(6, 0.5, TruncationPolicy(k_max=32))
+    summary = run(SimConfig(depth=6, p_plus=0.5, n_samples=20_000, seed=7, workers=1))
+    rep = compare_to_exact(summary, exact)
+    assert 0.0 < rep.chi2_pvalue < 1.0
+    assert rep.chi2_pvalue == pytest.approx(chi2.sf(rep.chi2_stat, rep.chi2_dof), rel=1e-12)
+
+    # 40 samples: expected counts below 5 force several pooled bins
+    counts = {1: 14, 2: 5, 3: 6, 4: 3, 5: 2, 6: 4, 8: 3, 12: 2, 40: 1}
+    summary = EmpiricalSummary(counts=counts, n=sum(counts.values()), mean_log=0.0,
+                               scaled_quantiles={}, depth=6, p_plus=0.5)
+    rep = compare_to_exact(summary, exact)
+    assert 2 <= rep.chi2_dof < 6
+    assert rep.chi2_stat > 0.0
+    assert rep.chi2_pvalue == pytest.approx(chi2.sf(rep.chi2_stat, rep.chi2_dof), rel=1e-12)
+
+
 def test_compare_rejects_mismatched_depth():
     exact = evolve(4, 0.5, TruncationPolicy(k_max=8))
     summary = run(SimConfig(depth=3, p_plus=0.5, n_samples=100, seed=1))
