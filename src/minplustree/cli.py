@@ -302,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reg = sub.add_parser("regimes", help="classify a mixture probability")
     p_reg.add_argument("--p", type=_probability, required=True)
-    p_reg.add_argument("--k-max", type=_positive_int, default=64)
-    p_reg.add_argument("--tol", type=float, default=1e-7)
+    p_reg.add_argument("--k-max", type=_positive_int, default=64,
+                       help=f"limit-curve prefix length, at most {regimes.LIMIT_K_MAX}")
+    p_reg.add_argument("--tol", type=float, default=1e-7,
+                       help="bound on the limit curve's balance-equation residual")
     p_reg.add_argument("--N-max", type=_positive_int, default=20)
     p_reg.add_argument("--output", default=None)
     p_reg.set_defaults(func=_cmd_regimes)

@@ -2,8 +2,8 @@
 
 Below p = 1/2 the root value converges in distribution; the survival
 probabilities increase in the level toward a limit curve whose second entry
-is p/(1-p).  Above p = 1/2 the mean grows at least geometrically with
-ratio 2p per level.
+is p/(1-p), solved entry by entry from its balance equation.  Above p = 1/2
+the mean grows at least geometrically with ratio 2p per level.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .distribution import (
     step_pmf,
 )
 
-SUBCRITICAL_K_CAP = 4096    # internal support cap; the family is tight below 1/2
-_TAIL_LIMIT = 1e-12         # required lumped tail at convergence
+SUBCRITICAL_K_CAP = 4096    # support cap for evolving the subcritical chain level by level
+LIMIT_K_MAX = 1 << 17       # largest limit-curve prefix; the direct solve is O(k_max^2)
 
 
 @dataclass(frozen=True)
@@ -67,43 +67,38 @@ def subcritical_fixed_point(p: float) -> float:
     return p / (1.0 - p)
 
 
-def limit_survival(
-    p: float,
-    k_max: int = 64,
-    tol: float = 1e-7,
-    max_levels: int = 100_000,
-    internal_cap: Optional[int] = None,
-) -> np.ndarray:
-    """Stabilized survival prefix c_k = lim_N P(X_N >= k), 1-indexed padded.
+def limit_survival(p: float, k_max: int = 64, tol: float = 1e-7) -> np.ndarray:
+    """Limit survival prefix c_k = lim_N P(X_N >= k), 1-indexed padded.
 
-    Evolves the exact distribution level by level until the survival prefix
-    moves less than ``tol`` in sup norm.  Monotone increase in the level of
-    every survival entry is asserted on the way; the lumped tail must be
-    negligible at convergence.  The default internal cap covers p up to
-    about 0.42; closer to 1/2 the limit tail is fatter and ``internal_cap``
-    has to grow with it.
+    Solved entry by entry from the balance equation of ``stationarity_residual``,
+    whose right side r_k uses only c_1..c_{k-1}: c_k is the smaller root of
+    (1-p) c^2 - c + r_k = 0, taken as 2 r_k / (1 + sqrt(1 - 4 (1-p) r_k)) to
+    avoid cancellation.  That root is the limit: level by level each entry moves
+    as x -> (1-p) x^2 + r with r rising to r_k, never passing it from x = 0.
+    O(k_max^2), so ``k_max`` is refused above ``LIMIT_K_MAX``.  ArithmeticError
+    if the balance residual of the result exceeds ``tol``.
     """
     if not 0.0 < p < 0.5:
         raise ValueError("defined for 0 < p < 1/2")
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    cap = max(internal_cap or SUBCRITICAL_K_CAP, k_max)
-    policy = TruncationPolicy(k_max=cap, tail_mode="lump")
-    m = point_mass_initial(p, k_max=cap)
-    prev = m.survival().values[: k_max + 1].copy()
-    for _ in range(max_levels):
-        m = step_pmf(m, policy)
-        cur = m.survival().values[: k_max + 1].copy()
-        if np.any(cur - prev < -_MONO_SLACK):
-            raise ArithmeticError("survival entries must be nondecreasing in the level")
-        if float(np.max(np.abs(cur - prev))) < tol:
-            if m.tail_mass > _TAIL_LIMIT:
-                raise ArithmeticError(
-                    f"tail mass {m.tail_mass:.3e} not negligible at convergence; raise the cap"
-                )
-            return cur
-        prev = cur
-    raise RuntimeError(f"no convergence within {max_levels} levels at tol {tol}")
+    _check_curve_args(k_max, tol)
+    c = np.ones(k_max + 1)
+    d = np.zeros(k_max)     # d[l] = c_l - c_{l+1}
+    rev = np.zeros(k_max)   # rev[k_max - l] = c_l, so c_{k-1}, ..., c_2 is one slice
+    for k in range(2, k_max + 1):
+        r = p * (c[k - 1] + float(np.dot(d[1 : k - 1], rev[k_max - k + 1 : k_max - 1])))
+        c[k] = rev[k_max - k] = 2.0 * r / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * (1.0 - p) * r)))
+        d[k - 1] = c[k - 1] - c[k]
+    residual = stationarity_residual(c, p)
+    if not residual <= tol:
+        raise ArithmeticError(f"balance residual {residual:.3e} above tol {tol:.3e}")
+    return c
+
+
+def _check_curve_args(k_max: int, tol: float) -> None:
+    if not 2 <= k_max <= LIMIT_K_MAX:
+        raise ValueError(f"k_max must lie in [2, {LIMIT_K_MAX}], got {k_max}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def stationarity_residual(c: np.ndarray, p: float) -> float:
@@ -159,6 +154,7 @@ def classify(
     below 1/2, growth base above, bare classification at 1/2."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
+    _check_curve_args(k_max, tol)
     if p == 0.5:
         return RegimeReport(p_plus=p, classification="critical")
     if p < 0.5:

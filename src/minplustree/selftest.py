@@ -108,11 +108,12 @@ def _check_sample_reproducibility() -> CheckResult:
 
 
 def _check_regimes() -> CheckResult:
-    c2 = regimes.limit_survival(0.4, k_max=4, tol=1e-6)[2]
-    ok = abs(c2 - 2 / 3) < 1e-4
+    c = regimes.limit_survival(0.4, k_max=4, tol=1e-6)
+    res = regimes.stationarity_residual(c, 0.4)
+    ok = abs(c[2] - 2 / 3) < 1e-4 and res < 1e-12
     means = regimes.supercritical_growth(1.0, 8)
     ok &= all(means[n] == 2.0 ** (n - 1) for n in range(1, 9))
-    return "regime fixed point and growth", ok, f"c2 err {abs(c2 - 2/3):.2e}"
+    return "regime fixed point and growth", ok, f"c2 err {abs(c[2] - 2/3):.2e}, residual {res:.1e}"
 
 
 def _check_moments() -> CheckResult:

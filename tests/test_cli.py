@@ -4,6 +4,7 @@ import time
 import pytest
 
 from minplustree.cli import main
+from minplustree.regimes import LIMIT_K_MAX
 
 
 def test_usage_error_on_bad_probability(capsys):
@@ -162,6 +163,14 @@ def test_regimes_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["classification"] == "subcritical"
     assert doc["fixed_point_c2"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_regimes_bad_tol_and_k_max_fail_fast(capsys):
+    for extra in (["--tol", "nan"], ["--tol", "-1"], ["--k-max", str(LIMIT_K_MAX + 1)]):
+        t0 = time.perf_counter()
+        assert main(["regimes", "--p", "0.4", *extra]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "error:" in capsys.readouterr().err
 
 
 def test_worker_default_from_environment(tmp_path, monkeypatch):

@@ -1,7 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
+from minplustree import regimes
+from minplustree.distribution import TruncationPolicy, point_mass_initial, step_pmf
 from minplustree.regimes import (
+    LIMIT_K_MAX,
+    SUBCRITICAL_K_CAP,
     RegimeReport,
     classify,
     limit_survival,
@@ -40,6 +46,32 @@ def test_limit_survival_tightness():
     assert np.flatnonzero(c3[1:] < 0.01)[0] + 1 < 20
 
 
+def test_evolved_survival_increases_to_direct_curve():
+    # the paper's monotonicity in the level, checked against the direct solve
+    for p in (0.3, 0.4):
+        curve = limit_survival(p, k_max=SUBCRITICAL_K_CAP)
+        policy = TruncationPolicy(k_max=SUBCRITICAL_K_CAP, tail_mode="lump")
+        m = point_mass_initial(p, k_max=SUBCRITICAL_K_CAP)
+        prev = m.survival().values
+        for _ in range(200):
+            m = step_pmf(m, policy)
+            cur = m.survival().values
+            assert np.all(cur - prev >= -1e-12)
+            assert np.all(cur <= curve + 1e-12)
+            prev = cur
+        assert np.max(np.abs(cur - curve)) < 1e-9
+
+
+def test_limit_survival_close_to_critical():
+    # near 1/2 the limit tail is fat, and the direct solve needs no support cap for it
+    p = 0.45
+    rep = classify(p, tol=1e-12)
+    c = rep.limit_survival
+    assert stationarity_residual(c, p) < 1e-15
+    assert c[2] == pytest.approx(p / (1 - p), abs=1e-15)
+    assert np.all(np.diff(c[1:]) <= 0.0)
+
+
 def test_limit_survival_stationarity():
     tol = 1e-7
     for p in (0.3, 0.4):
@@ -66,8 +98,34 @@ def test_limit_survival_domain_and_convergence_guard():
         limit_survival(0.5, k_max=8)
     with pytest.raises(ValueError):
         limit_survival(0.0, k_max=8)
-    with pytest.raises(RuntimeError):
-        limit_survival(0.4, k_max=8, tol=1e-12, max_levels=3)
+    with pytest.raises(ValueError):
+        limit_survival(0.4, k_max=1)
+
+
+def test_limit_survival_residual_guard(monkeypatch):
+    monkeypatch.setattr(regimes, "stationarity_residual", lambda c, p: 1e-6)
+    with pytest.raises(ArithmeticError):
+        limit_survival(0.4, k_max=8, tol=1e-7)
+    assert limit_survival(0.4, k_max=8, tol=1e-5)[1] == 1.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        limit_survival(0.4, k_max=8, tol=tol)
+    for p in (0.0, 0.4, 0.5, 0.7):
+        with pytest.raises(ValueError):
+            classify(p, k_max=8, tol=tol)
+
+
+def test_k_max_ceiling_refused_before_work():
+    # the solve at this size takes seconds; the refusal must not
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="k_max"):
+        limit_survival(0.4, k_max=LIMIT_K_MAX + 1)
+    with pytest.raises(ValueError, match="k_max"):
+        classify(0.0, k_max=LIMIT_K_MAX + 1)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_supercritical_all_plus_is_exact_doubling():
