@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, regimes, selftest, series, simulate
+from . import bounds, regimes, series, simulate
 from .distribution import (
     CRITICAL_C,
     TruncationPolicy,
-    evolve_record,
+    evolve,
     write_distribution_csv,
     write_distribution_json,
 )
@@ -39,12 +39,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _kmax(text: str) -> object:
+def _kmax(text: str) -> Optional[int]:
     if text == "auto":
-        return "auto"
+        return None  # the full support
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError("kmax must be >= 2 or 'auto'")
+    return value
+
+
+def _tail_budget(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # negated, so that NaN fails too
+        raise argparse.ArgumentTypeError(f"tail budget {value} must be >= 0")
     return value
 
 
@@ -58,16 +65,6 @@ def _int_range(text: str) -> tuple:
 def _step_band(text: str) -> tuple:
     threshold, c_r = text.split(":", 1)
     return int(threshold), float(c_r)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("MINPLUSTREE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -87,12 +84,8 @@ def _summary(line: str) -> None:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    if args.kmax == "auto":
-        policy = TruncationPolicy.auto(tail_mode=args.tail_mode)
-    else:
-        policy = TruncationPolicy(k_max=args.kmax, tail_mode=args.tail_mode)
-    record = evolve_record(args.N, args.p, policy, tail_budget=args.tail_budget)
-    m = record.mass
+    policy = TruncationPolicy(k_max=args.kmax, tail_mode=args.tail_mode)
+    m = evolve(args.N, args.p, policy)
 
     buf = io.StringIO()
     if args.format == "csv":
@@ -100,7 +93,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     else:
         write_distribution_json(m, buf)
     _emit(buf.getvalue(), args.output)
-    budget_note = " TAIL BUDGET EXCEEDED" if record.budget_exceeded else ""
+    # under a fixed lumping cap the tail P(X > cap) is nondecreasing in the
+    # level, and otherwise it is zero, so the last level is the worst one
+    over = args.tail_budget is not None and m.tail_mass > args.tail_budget
+    budget_note = " TAIL BUDGET EXCEEDED" if over else ""
     _summary(
         f"evolve: N={m.level} p={m.p_plus} k_max={m.k_max} "
         f"tail_mass={m.tail_mass:.3e}{budget_note}"
@@ -192,7 +188,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     policy = TruncationPolicy(k_max=args.kmax, tail_mode="lump")
-    m = evolve_record(args.N, 0.5, policy).mass
+    m = evolve(args.N, 0.5, policy)
     diag = series.diagnose(m)
     t, cdf = series.scaled_cdf_points(m)
 
@@ -220,17 +216,6 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = selftest.run_all()
-    failures = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"selftest: {len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -250,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--p", type=_probability, default=0.5)
     p_evolve.add_argument("--kmax", type=_kmax, default="auto")
     p_evolve.add_argument("--tail-mode", choices=("lump", "drop"), default="lump")
-    p_evolve.add_argument("--tail-budget", type=float, default=None)
+    p_evolve.add_argument("--tail-budget", type=_tail_budget, default=None)
     p_evolve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_evolve.add_argument("--output", default=None)
     p_evolve.set_defaults(func=_cmd_evolve)
@@ -260,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--p", type=_probability, default=0.5)
     p_sample.add_argument("--samples", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--workers", type=_positive_int, default=_default_workers())
+    # argparse passes a string default through `type`, so a bad value is a usage error
+    p_sample.add_argument("--workers", type=_positive_int,
+                          default=os.environ.get("MINPLUSTREE_WORKERS") or "1")
     p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sample.add_argument("--output", default=None)
     p_sample.set_defaults(func=_cmd_sample)
@@ -309,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--N-max", type=_positive_int, default=20)
     p_reg.add_argument("--output", default=None)
     p_reg.set_defaults(func=_cmd_regimes)
-
-    p_self = sub.add_parser("selftest", help="run the built-in quick checks")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, TextIO, Union
+from typing import NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -98,30 +98,13 @@ def _clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def default_growth_rule(level: int) -> int:
-    """Support cap per level: min(2^(level-1), ceil(exp(2.5*sqrt(c*level)))).
-
-    The first branch is the exact support bound, the second tracks the upper
-    edge of the critical log-scale with a 2.5x safety factor so the lumped
-    tail stays negligible at desk scale.  Floor of 2 keeps the cap valid.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    exact = 2 ** (level - 1)
-    exponent = 2.5 * math.sqrt(CRITICAL_C * level)
-    if exponent < math.log(exact if exact > 0 else 1) or exponent < 700:
-        scaled = math.ceil(math.exp(min(exponent, 700.0)))
-    else:  # pragma: no cover - astronomically deep trees
-        scaled = exact
-    return max(2, min(exact, scaled))
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How the support is capped while evolving.
 
-    ``k_max`` is a fixed cap unless ``growth_rule`` is given, in which case
-    the cap is ``growth_rule(level)`` per level.  ``tail_mode`` is either
+    ``k_max`` is a fixed cap on every level.  ``None``, the default, is the
+    full support {1, ..., 2^(level-1)}: nothing is ever truncated, so the
+    tail stays zero and the evolution is exact.  ``tail_mode`` is either
     ``"lump"`` (mass above the cap is conserved as a scalar) or ``"drop"``
     (mass above the cap is discarded and the rest renormalized).  A cap
     above ``KMAX_LIMIT`` is refused.
@@ -129,27 +112,15 @@ class TruncationPolicy:
 
     k_max: Optional[int] = None
     tail_mode: str = "lump"
-    growth_rule: Optional[Callable[[int], int]] = None
 
     def __post_init__(self) -> None:
         if self.tail_mode not in ("lump", "drop"):
             raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
-        if self.k_max is None and self.growth_rule is None:
-            raise ValueError("need k_max or growth_rule")
         if self.k_max is not None and self.k_max < 2:
             raise ValueError("k_max must be >= 2")
 
-    @classmethod
-    def auto(cls, tail_mode: str = "lump") -> "TruncationPolicy":
-        return cls(k_max=None, tail_mode=tail_mode, growth_rule=default_growth_rule)
-
     def cap_for(self, level: int) -> int:
-        if self.growth_rule is not None:
-            cap = int(self.growth_rule(level))
-        else:
-            cap = int(self.k_max)  # type: ignore[arg-type]
-        if cap < 2:
-            raise ValueError(f"cap {cap} at level {level} is below 2")
+        cap = max(2, 1 << (level - 1)) if self.k_max is None else int(self.k_max)
         if cap > KMAX_LIMIT:
             raise ValueError(
                 f"cap {cap} at level {level} is above the limit of {KMAX_LIMIT} entries; "
@@ -363,19 +334,8 @@ def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
     return SurvivalCurve(values=new, tail_floor=0.0, level=s.level + 1)
 
 
-class EvolveRecord(NamedTuple):
-    mass: MassFunction
-    tail_history: list
-    budget_exceeded: bool
-
-
-def evolve_record(
-    n_target: int,
-    p_plus: float,
-    policy: TruncationPolicy,
-    tail_budget: Optional[float] = None,
-) -> EvolveRecord:
-    """Iterate :func:`step_pmf` to the target level, recording tail per level.
+def evolve(n_target: int, p_plus: float, policy: TruncationPolicy) -> MassFunction:
+    """The level-``n_target`` distribution under the given truncation policy.
 
     Every level's cap is checked against ``KMAX_LIMIT`` before the first
     step, so a policy that would outgrow memory fails at once.
@@ -385,24 +345,9 @@ def evolve_record(
     for level in range(2, n_target + 1):
         policy.cap_for(level)
     m = point_mass_initial(p_plus, k_max=2)
-    history = [0.0]
-    exceeded = False
     for _ in range(n_target - 1):
         m = step_pmf(m, policy)
-        history.append(m.tail_mass)
-        if tail_budget is not None and m.tail_mass > tail_budget:
-            exceeded = True
-    return EvolveRecord(mass=m, tail_history=history, budget_exceeded=exceeded)
-
-
-def evolve(
-    n_target: int,
-    p_plus: float,
-    policy: TruncationPolicy,
-    tail_budget: Optional[float] = None,
-) -> MassFunction:
-    """The level-``n_target`` distribution under the given truncation policy."""
-    return evolve_record(n_target, p_plus, policy, tail_budget).mass
+    return m
 
 
 class Moments(NamedTuple):
@@ -415,10 +360,12 @@ class Moments(NamedTuple):
 def moments(m: MassFunction) -> Moments:
     """Truncated-support moments.
 
-    The lumped tail contributes at value ``k_max``, so ``mean_x`` and
-    ``mean_log_x`` are certified lower bounds whenever ``tail_mass > 0``
-    (provided the cap did not grow after mass was lumped); ``truncated``
-    flags that situation.  ``var_log_x`` is a plain truncated moment.
+    The lumped tail contributes at value ``k_max``.  Under a fixed cap the
+    tail is exactly P(X > k_max), so ``mean_x`` and ``mean_log_x`` are
+    certified lower bounds, and ``truncated`` flags ``tail_mass > 0``; under
+    the full support the tail is zero and they are exact.  A chain stepped
+    by hand under a cap that grows after mass was lumped loses that
+    guarantee.  ``var_log_x`` is a plain truncated moment.
     """
     k = np.arange(1, m.k_max + 1, dtype=float)
     w = m.probs[1:]

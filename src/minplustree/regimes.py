@@ -8,10 +8,9 @@ the mean grows at least geometrically with ratio 2p per level.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .distribution import (
     TruncationPolicy,
     _MONO_SLACK,
     _cross_term,
-    _write_text,
     moments,
     point_mass_initial,
     step_pmf,
@@ -129,7 +127,7 @@ def supercritical_growth(p: float, n_max: int) -> np.ndarray:
         raise ValueError("defined for 1/2 < p <= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    policy = TruncationPolicy(growth_rule=lambda level: max(2, 2 ** (level - 1)))
+    policy = TruncationPolicy()
     means = np.full(n_max + 1, math.nan)
     m = point_mass_initial(p, k_max=2)
     means[1] = moments(m).mean_x
@@ -172,7 +170,3 @@ def classify(
         )
     supercritical_growth(p, min(n_max, 12))  # growth floor sanity before reporting
     return RegimeReport(p_plus=p, classification="supercritical", growth_base=2.0 * p)
-
-
-def write_report_json(report: RegimeReport, out: Union[str, TextIO]) -> None:
-    _write_text(out, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")

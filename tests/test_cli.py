@@ -53,6 +53,11 @@ def test_evolve_auto_cap_guard(capsys):
     rc = main(["evolve", "--N", "200", "--kmax", "auto"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # the full support first passes 2^26 entries at level 28
+    t0 = time.perf_counter()
+    assert main(["evolve", "--N", "28", "--kmax", "auto"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "cap 134217728 at level 28" in capsys.readouterr().err
     # a fixed cap above 2^26 entries is refused before the first level
     t0 = time.perf_counter()
     assert main(["evolve", "--N", "3", "--kmax", str(2**26 + 1)]) == 1
@@ -186,8 +191,28 @@ def test_worker_default_from_environment(tmp_path, monkeypatch):
     assert out.read_bytes() == explicit.read_bytes()
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    text = capsys.readouterr().out
-    assert "FAIL" not in text
-    assert "checks passed" in text
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_worker_environment_malformed_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MINPLUSTREE_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--depth", "4", "--samples", "10"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    # only sample reads the variable
+    assert main(["evolve", "--N", "3"]) == 0
+
+
+def test_evolve_tail_budget_note(capsys):
+    args = ["evolve", "--N", "8", "--tail-budget", "1e-6", "--output", "-"]
+    assert main([*args, "--kmax", "16"]) == 0
+    assert "TAIL BUDGET EXCEEDED" in capsys.readouterr().err
+    assert main([*args, "--kmax", "256"]) == 0
+    assert "TAIL BUDGET EXCEEDED" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1e-6"])
+def test_evolve_tail_budget_refuses_nan_and_negative(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--N", "8", "--kmax", "16", f"--tail-budget={budget}"])
+    assert exc.value.code == 2
+    assert "tail budget" in capsys.readouterr().err

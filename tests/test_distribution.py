@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -12,9 +13,7 @@ from minplustree.distribution import (
     MassFunction,
     SurvivalCurve,
     TruncationPolicy,
-    default_growth_rule,
     evolve,
-    evolve_record,
     mass_function_from_json,
     moments,
     point_mass_initial,
@@ -215,36 +214,46 @@ def test_shrinking_cap_lumps_consistently():
     assert abs(narrow.tail_mass - lumped) < 1e-15
 
 
-def test_tail_budget_reported():
-    rec = evolve_record(8, 0.5, TruncationPolicy(k_max=16), tail_budget=1e-6)
-    assert rec.budget_exceeded
-    assert len(rec.tail_history) == 8
-    rec = evolve_record(8, 0.5, TruncationPolicy(k_max=256), tail_budget=1e-6)
-    assert not rec.budget_exceeded
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_lumped_tail_nondecreasing_in_level(p):
+    # X_{N+1} dominates X_N stochastically, so under a fixed lumping cap the
+    # tail P(X_N > cap) never falls, and the last level's tail is the largest
+    for cap in (16, 100, 4096):
+        policy = TruncationPolicy(k_max=cap)
+        m = point_mass_initial(p)
+        tails = [m.tail_mass]
+        for _ in range(40):
+            m = step_pmf(m, policy)
+            tails.append(m.tail_mass)
+        assert all(b >= a * (1.0 - 1e-14) for a, b in zip(tails, tails[1:])), cap
+    # the full support and drop mode never carry a tail
+    assert evolve(20, p, TruncationPolicy()).tail_mass == 0.0
+    assert evolve(20, p, TruncationPolicy(k_max=16, tail_mode="drop")).tail_mass == 0.0
 
 
-def test_growth_rule_defaults():
-    assert default_growth_rule(1) == 2
-    assert default_growth_rule(5) == 16  # 2^(N-1) branch binds at small N
-    assert TruncationPolicy.auto().cap_for(3) == 4
+def test_truncation_policy_defaults():
+    assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["k_max", "tail_mode"]
+    full = TruncationPolicy()
+    assert full.k_max is None and full.tail_mode == "lump"
+    # the full support {1, ..., 2^(level-1)}
+    assert [full.cap_for(level) for level in (2, 3, 5, 27)] == [2, 4, 16, 2**26]
+    assert TruncationPolicy(k_max=8).cap_for(40) == 8
     with pytest.raises(ValueError):
         TruncationPolicy(k_max=1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(k_max=None, growth_rule=None)
     with pytest.raises(ValueError):
         TruncationPolicy(k_max=8, tail_mode="spill")
 
 
 def test_cap_ceiling_refused_before_evolving():
-    # auto caps pass 2^26 at level 28; the refusal comes before the first step
+    # full-support caps pass 2^26 at level 28; the refusal comes before the first step
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=r"cap 134217728 at level 28"):
-        evolve(60, 0.5, TruncationPolicy.auto())
+        evolve(60, 0.5, TruncationPolicy())
     assert time.perf_counter() - t0 < 1.0
     assert TruncationPolicy(k_max=KMAX_LIMIT).cap_for(40) == KMAX_LIMIT
     too_wide = TruncationPolicy(k_max=KMAX_LIMIT + 1)
     with pytest.raises(ValueError, match="at level 2 "):
-        evolve_record(3, 0.5, too_wide)
+        evolve(3, 0.5, too_wide)
     with pytest.raises(ValueError, match="above the limit"):
         step_pmf(point_mass_initial(0.5), too_wide)
 
