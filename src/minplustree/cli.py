@@ -67,11 +67,17 @@ def _step_band(text: str) -> tuple:
     return int(threshold), float(c_r)
 
 
+def _target(output: Optional[str]):
+    """Where ``--output`` points: standard output for none or ``-``, else the path."""
+    return sys.stdout if output is None or output == "-" else output
+
+
 def _emit(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
+    target = _target(output)
+    if target is sys.stdout:
+        target.write(text)
     else:
-        with open(output, "w", newline="") as fh:
+        with open(target, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -87,12 +93,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     policy = TruncationPolicy(k_max=args.kmax, tail_mode=args.tail_mode)
     m = evolve(args.N, args.p, policy)
 
-    buf = io.StringIO()
-    if args.format == "csv":
-        write_distribution_csv(m, buf)
-    else:
-        write_distribution_json(m, buf)
-    _emit(buf.getvalue(), args.output)
+    # the writers get the target itself: rendering a 10^6-row CSV into a
+    # string first would cost more memory than evolving the level
+    writer = write_distribution_csv if args.format == "csv" else write_distribution_json
+    writer(m, _target(args.output))
     # under a fixed lumping cap the tail P(X > cap) is nondecreasing in the
     # level, and otherwise it is zero, so the last level is the worst one
     over = args.tail_budget is not None and m.tail_mass > args.tail_budget

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, TextIO, Union
+from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ DIRECT_CONV_MAX = 4096   # direct O(K^2) convolution at or below this size
 KMAX_LIMIT = 1 << 26     # largest support cap of any level: 512 MiB per array
 _CLAMP_FLOOR = -1e-12    # FFT round-off more negative than this is a bug
 _MONO_SLACK = 1e-12      # float slack when validating monotone curves
+_CSV_BLOCK_ROWS = 1 << 14  # CSV rows per write, so a level's text is never whole
 
 
 def _fast_len(n: int) -> int:
@@ -382,12 +384,19 @@ def moments(m: MassFunction) -> Moments:
 
 
 def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
-    """CSV with one row per mass value: columns k, pmf, survival."""
+    """CSV with one row per mass value: columns k, pmf, survival.
+
+    Rows reach ``out`` in blocks of ``_CSV_BLOCK_ROWS``, so the writer holds
+    one block of text, not the whole table.
+    """
     surv = m.survival().values
-    lines = ["k,pmf,survival\n"]
-    for k in range(1, m.k_max + 1):
-        lines.append(f"{k},{float(m.probs[k])!r},{float(surv[k])!r}\n")
-    _write_text(out, "".join(lines))
+    end = m.k_max + 1
+    with _text_target(out) as fh:
+        fh.write("k,pmf,survival\n")
+        for lo in range(1, end, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, end)
+            rows = zip(range(lo, hi), m.probs[lo:hi].tolist(), surv[lo:hi].tolist())
+            fh.write("".join([f"{k},{x!r},{y!r}\n" for k, x, y in rows]))
 
 
 def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
@@ -405,9 +414,16 @@ def mass_function_from_json(d: dict) -> MassFunction:
     )
 
 
-def _write_text(out: Union[str, TextIO], text: str) -> None:
+@contextmanager
+def _text_target(out: Union[str, TextIO]) -> Iterator[TextIO]:
+    """``out`` itself, or the file at path ``out`` opened for writing."""
     if isinstance(out, str):
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        out.write(text)
+        yield out
+
+
+def _write_text(out: Union[str, TextIO], text: str) -> None:
+    with _text_target(out) as fh:
+        fh.write(text)

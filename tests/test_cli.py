@@ -73,6 +73,16 @@ def test_evolve_outputs_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_file_and_stdout_identical(tmp_path, capsys, fmt):
+    args = ["evolve", "--N", "12", "--kmax", "100", "--format", fmt]
+    out = tmp_path / f"d.{fmt}"
+    assert main(args + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_sample_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,61 @@ def test_csv_golden():
         "3,0.25,0.375\n"
         "4,0.125,0.125\n"
     )
+
+
+def _csv_reference(m):
+    """The CSV built row by row, one ``float`` conversion per value."""
+    surv = m.survival().values
+    lines = ["k,pmf,survival\n"]
+    for k in range(1, m.k_max + 1):
+        lines.append(f"{k},{float(m.probs[k])!r},{float(surv[k])!r}\n")
+    return "".join(lines)
+
+
+def test_csv_blocks_match_row_by_row_reference(tmp_path):
+    # several full blocks and a partial last one
+    k_max = 3 * 2**14 + 7
+    rng = np.random.default_rng(3)
+    probs = np.zeros(k_max + 1)
+    probs[1:] = rng.random(k_max) * (rng.random(k_max) < 0.7)  # exact zeros
+    probs *= 0.75 / probs.sum()
+    cases = [
+        MassFunction(probs=probs, tail_mass=0.25, level=20, p_plus=0.5),
+        evolve(20, 0.5, TruncationPolicy(k_max=k_max)),
+        evolve(20, 0.5, TruncationPolicy(k_max=k_max, tail_mode="drop")),
+    ]
+    assert cases[1].tail_mass > 0.0 and cases[2].tail_mass == 0.0
+    for m in cases:
+        want = _csv_reference(m)
+        buf = io.StringIO()
+        write_distribution_csv(m, buf)
+        assert buf.getvalue() == want
+        path = tmp_path / "d.csv"
+        write_distribution_csv(m, str(path))
+        assert path.read_bytes() == want.encode()
+
+
+def test_csv_writer_memory_bounded_by_block(tmp_path):
+    m = evolve(19, 0.5, TruncationPolicy())  # the full support: 2^18 rows
+    tracemalloc.start()
+    try:
+        write_distribution_csv(m, str(tmp_path / "d.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * m.k_max
+
+
+def test_evolve_memory_per_cap_entry():
+    # the bound the README states for one level of cap K
+    cap = 2**17
+    tracemalloc.start()
+    try:
+        evolve(30, 0.5, TruncationPolicy(k_max=cap))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * cap
 
 
 def test_json_roundtrip():
