@@ -22,7 +22,9 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, SurvivalCurve, _MONO_SLACK, recurrence_rhs
+# recurrence_rhs is not called here but stays importable from this module,
+# next to the models it is checked against
+from .distribution import CRITICAL_C, SurvivalCurve, _MONO_SLACK, _RhsPlan, recurrence_rhs
 
 RangeLike = Union[int, Tuple[int, int]]
 FloatOrArray = Union[float, np.ndarray]
@@ -137,13 +139,37 @@ def upper_model_values(m: UpperModel, N: int, k_max: int) -> np.ndarray:
     """q_{N,k} for k = 1..k_max, 1-indexed padded (out[0] = 1)."""
     if N < 1 or k_max < 1:
         raise ValueError("N and k_max must be >= 1")
-    logk = np.zeros(k_max + 1)
-    logk[1:] = np.log(np.arange(1, k_max + 1, dtype=float))
-    out = np.where(
-        logk < m.threshold(N), upper_model_smooth(m, N, logk), upper_model_tail(m, N, logk)
-    )
-    out[0] = 1.0
+    out = np.empty(k_max + 1)
+    _upper_column(m, N, *_log_tables(k_max), out)
     return out
+
+
+def _log_tables(k_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """log k and log(k)^2 for k = 1..k_max, 1-indexed padded with zeros."""
+    logk = np.zeros(k_max + 1)
+    np.log(np.arange(1, k_max + 1, dtype=float), out=logk[1:])
+    return logk, np.square(logk)
+
+
+def _upper_column(
+    m: UpperModel, N: int, logk: np.ndarray, logk_sq: np.ndarray, out: np.ndarray
+) -> None:
+    """Write :func:`upper_model_values` into ``out`` from the tables
+    ``_log_tables(k_max)``.
+
+    Since log k rises with k, the first branch is a prefix.  It covers
+    whole columns at the levels a scan reaches, so it is written in place,
+    with the operations of ``upper_model_smooth`` in the same order; the
+    exponential tail goes through ``upper_model_tail``.
+    """
+    t = m.threshold(N)
+    j = int(np.searchsorted(logk, t))  # logk[:j] < t <= logk[j:]
+    head = out[:j]
+    np.divide(logk_sq[:j], N * m.C, out=head)
+    np.subtract(1.0, head, out=head)
+    if j < out.size:
+        out[j:] = upper_model_tail(m, N, logk[j:])
+    out[0] = 1.0
 
 
 def upper_model_eval(m: UpperModel, N: int, k: int) -> float:
@@ -217,21 +243,44 @@ def lower_model_values(m: LowerStepModel, N: int, k_max: int) -> np.ndarray:
     """
     if N < 1 or k_max < 1:
         raise ValueError("N and k_max must be >= 1")
-    out = np.ones(k_max + 1)
-    head_hi = min(m.K - 1, k_max)
-    if head_hi >= 1:
-        out[1 : head_hi + 1] = 1.0 - m.b[1 : head_hi + 1] / N
-    if k_max >= m.K:
-        kk = np.arange(m.K, k_max + 1, dtype=float)
-        logk = np.log(kk)
-        c_band = np.full(kk.size, m.c)
-        for threshold, c_r in m.steps:
-            c_band[kk >= threshold] = c_r
-        vals = 1.0 - logk**2 / (c_band * N)
-        vals[logk >= np.sqrt(N * c_band)] = 0.0
-        out[m.K :] = vals
-    out[0] = 1.0
+    out = np.empty(k_max + 1)
+    _lower_column(m, N, *_log_tables(k_max), _lower_bands(m, k_max), out)
     return out
+
+
+def _lower_bands(m: LowerStepModel, k_max: int) -> list:
+    """(start, stop, c) slot ranges of the middle branch's constant bands up to k_max."""
+    edges = [m.K] + [t for t, _ in m.steps] + [math.inf]
+    constants = [m.c] + [c_r for _, c_r in m.steps]
+    return [
+        (lo, min(hi, k_max + 1), c)
+        for lo, hi, c in zip(edges, edges[1:], constants)
+        if lo <= k_max
+    ]
+
+
+def _lower_column(
+    m: LowerStepModel,
+    N: int,
+    logk: np.ndarray,
+    logk_sq: np.ndarray,
+    bands: list,
+    out: np.ndarray,
+) -> None:
+    """Write :func:`lower_model_values` into ``out`` from the tables
+    ``_log_tables(k_max)`` and ``_lower_bands(m, k_max)``.
+
+    Within a band, log k rises with k, so the zero branch is a suffix.
+    """
+    head = out[1 : min(m.K, out.size)]
+    np.divide(m.b[1 : head.size + 1], N, out=head)
+    np.subtract(1.0, head, out=head)
+    for lo, hi, c in bands:
+        band = out[lo:hi]
+        np.divide(logk_sq[lo:hi], c * N, out=band)
+        np.subtract(1.0, band, out=band)
+        band[np.searchsorted(logk[lo:hi], math.sqrt(N * c)) :] = 0.0
+    out[0] = 1.0
 
 
 def lower_model_eval(m: LowerStepModel, N: int, k: int) -> float:
@@ -244,16 +293,21 @@ def lower_model_validity(m: LowerStepModel, N: int, k_max: int) -> Optional[Tupl
 
     Checks 0 <= q_{N,k} <= q_{N,k-1} <= 1.
     """
-    q = lower_model_values(m, N, k_max)
-    bad_range = (q[1:] < -_MONO_SLACK) | (q[1:] > 1.0 + _MONO_SLACK)
-    bad_mono = np.zeros(k_max, dtype=bool)
-    bad_mono[1:] = np.diff(q[1:]) > _MONO_SLACK
-    bad = bad_range | bad_mono
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
+    return _first_invalid(lower_model_values(m, N, k_max))
+
+
+def _first_invalid(q: np.ndarray) -> Optional[Tuple[int, float]]:
+    """First k with q[k] outside [0, 1] or above q[k-1], as (k, q[k]), or None."""
+    body = q[1:]
+    bad = body < -_MONO_SLACK
+    bad |= body > 1.0 + _MONO_SLACK
+    # a step up beyond the slack needs body[i + 1] > body[i], which is rare
+    rise = np.flatnonzero(body[1:] > body[:-1]) + 1
+    bad[rise] |= body[rise] - body[rise - 1] > _MONO_SLACK
+    i = int(bad.argmax())
+    if not bad[i]:
         return None
-    k = int(idx[0]) + 1
-    return k, float(q[k])
+    return i + 1, float(body[i])
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +369,26 @@ def _norm_range(r: RangeLike, lo_default: int = 1) -> Tuple[int, int]:
 
 
 def _certify(
-    values_at,
-    n_range: RangeLike,
-    k_range: RangeLike,
+    fill_column,
+    n_range: Tuple[int, int],
+    k_range: Tuple[int, int],
     direction: int,
     keep_grid: bool,
-    model1_mask=None,
-    validity_at=None,
+    gamma_at=None,
+    check_validity: bool = False,
 ) -> CertificateReport:
-    n_lo, n_hi = _norm_range(n_range)
-    k_lo, k_hi = _norm_range(k_range)
-    if n_lo < 1 or k_lo < 1:
-        raise ValueError("ranges must start at 1 or above")
+    """Scan the residual columns N = n_lo..n_hi over k = k_lo..k_hi.
+
+    ``fill_column(N, out)`` writes the model array at level N, slots
+    0..k_hi, into ``out``.  The scan builds every buffer once: two model
+    columns that swap roles from one level to the next, the residual, and a
+    recurrence_rhs plan.  ``gamma_at(N, col)``, when given, returns the
+    smallest breathing-room ratio of the residual column at N, or None
+    where no slot qualifies.  ``check_validity`` tests each model column
+    for being a survival curve until the first one that is not.
+    """
+    n_lo, n_hi = n_range
+    k_lo, k_hi = k_range
 
     min_margin = math.inf
     first_violation = None
@@ -337,34 +399,39 @@ def _certify(
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
-    q = values_at(n_lo, k_hi)
+    rhs_of = _RhsPlan(k_hi)
+    q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
+    col = np.empty(k_hi - k_lo + 1)
+    fill_column(n_lo, q)
     for N in range(n_lo, n_hi + 1):
-        q_next = values_at(N + 1, k_hi)
-        res = direction * ((q_next - q) - recurrence_rhs(q))
-        col = res[k_lo : k_hi + 1]
+        fill_column(N + 1, q_next)
+        rhs = rhs_of(q)
+        # direction * ((q_next - q) - rhs) on k_lo..k_hi
+        np.subtract(q_next[k_lo:], q[k_lo:], out=col)
+        np.subtract(col, rhs[k_lo:], out=col)
+        if direction < 0:
+            np.negative(col, out=col)
         if grid is not None:
             grid[N - n_lo] = col
         m = float(col.min())
         if m < min_margin:
             min_margin = m
-        bad = np.flatnonzero(col < 0.0)
-        n_violations += bad.size
-        if bad.size and first_violation is None:
-            k = int(bad[0]) + k_lo
-            first_violation = (N, k, float(col[bad[0]]))
-        if model1_mask is not None:
-            mask = model1_mask(N, k_lo, k_hi)
-            if mask.any():
+        if not m >= 0.0:  # a NaN minimum hides nothing either
+            bad = np.flatnonzero(col < 0.0)
+            n_violations += bad.size
+            if bad.size and first_violation is None:
+                first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
+        if gamma_at is not None:
+            ratio = gamma_at(N, col)
+            if ratio is not None:
                 saw_model1 = True
-                kk = np.arange(k_lo, k_hi + 1, dtype=float)[mask]
-                ratios = col[mask] * N**2 / np.log(kk) ** 2
-                gamma = min(gamma, float(ratios.min()))
-        if validity_at is not None and curve_valid:
-            invalid = validity_at(N, k_hi)
+                gamma = min(gamma, ratio)
+        if check_validity and curve_valid:
+            invalid = _first_invalid(q)
             if invalid is not None:
                 curve_valid = False
                 first_invalid = (N, invalid[0], invalid[1])
-        q = q_next
+        q, q_next = q_next, q
 
     return CertificateReport(
         checked_n=(n_lo, n_hi),
@@ -377,6 +444,14 @@ def _certify(
         first_invalid_curve=first_invalid,
         residuals=grid,
     )
+
+
+def _grid_ranges(n_range: RangeLike, k_range: RangeLike) -> Tuple[Tuple[int, int], ...]:
+    n_lo, n_hi = _norm_range(n_range)
+    k_lo, k_hi = _norm_range(k_range)
+    if n_lo < 1 or k_lo < 1:
+        raise ValueError("ranges must start at 1 or above")
+    return (n_lo, n_hi), (k_lo, k_hi)
 
 
 def certify_upper(
@@ -395,19 +470,28 @@ def certify_upper(
     coefficient, which the analysis guarantees positive above the critical
     constant but never exhibits.
     """
+    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range)
+    logk, logk_sq = _log_tables(k_hi)
+    ratios = np.empty(k_hi + 1)
 
-    def model1_mask(N: int, k_lo: int, k_hi: int) -> np.ndarray:
-        kk = np.arange(k_lo, k_hi + 1, dtype=float)
-        logk = np.log(kk)
-        return (logk < m.threshold(N)) & (kk >= 2.0)
+    def gamma_at(N: int, col: np.ndarray) -> Optional[float]:
+        # first-branch slots k >= 2 form the range [lo, hi)
+        lo = max(k_lo, 2)
+        hi = min(k_hi + 1, int(np.searchsorted(logk, m.threshold(N))))
+        if lo >= hi:
+            return None
+        r = ratios[lo:hi]
+        np.multiply(col[lo - k_lo : hi - k_lo], N**2, out=r)
+        np.divide(r, logk_sq[lo:hi], out=r)
+        return float(r.min())
 
     return _certify(
-        lambda N, k_hi: upper_model_values(m, N, k_hi),
+        lambda N, out: _upper_column(m, N, logk, logk_sq, out),
         n_range,
-        k_range,
+        (k_lo, k_hi),
         direction=+1,
         keep_grid=keep_grid,
-        model1_mask=model1_mask,
+        gamma_at=gamma_at,
     )
 
 
@@ -420,13 +504,16 @@ def certify_lower(
     """Residuals of the minorization inequality (the domination inequality
     reversed), plus a validity check that the model array is a survival
     curve (in [0, 1] and nonincreasing) at each scanned level."""
+    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range)
+    logk, logk_sq = _log_tables(k_hi)
+    bands = _lower_bands(m, k_hi)
     return _certify(
-        lambda N, k_hi: lower_model_values(m, N, k_hi),
+        lambda N, out: _lower_column(m, N, logk, logk_sq, bands, out),
         n_range,
-        k_range,
+        (k_lo, k_hi),
         direction=-1,
         keep_grid=keep_grid,
-        validity_at=lambda N, k_hi: lower_model_validity(m, N, k_hi),
+        check_validity=True,
     )
 
 

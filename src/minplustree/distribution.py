@@ -31,7 +31,7 @@ DIRECT_CONV_MAX = 4096   # direct O(K^2) convolution at or below this size
 KMAX_LIMIT = 1 << 26     # largest support cap of any level: 512 MiB per array
 _CLAMP_FLOOR = -1e-12    # FFT round-off more negative than this is a bug
 _MONO_SLACK = 1e-12      # float slack when validating monotone curves
-_CSV_BLOCK_ROWS = 1 << 14  # CSV rows per write, so a level's text is never whole
+_CSV_BLOCK_ROWS = 1 << 14  # rows (JSON: values) per write; a level's text is never whole
 
 
 def _fast_len(n: int) -> int:
@@ -64,13 +64,35 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if max(a.size, b.size) <= DIRECT_CONV_MAX:
         return np.convolve(a, b)
     n = a.size + b.size - 1
-    length = _fast_len(n)
-    spec = np.fft.rfft(a, length)
+    return _fft_product(a, b, _fast_len(n))[:n]
+
+
+def _fft_product(
+    a: np.ndarray,
+    b: np.ndarray,
+    length: int,
+    spec: Optional[np.ndarray] = None,
+    spec_b: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Product of the real spectra of ``a`` and ``b``, transformed back.
+
+    With ``length >= a.size + b.size - 1``, the first ``a.size + b.size - 1``
+    of the ``length`` entries returned are the linear convolution.
+
+    The transforms zero-pad their operands to ``length`` themselves.  The
+    spectra and the result go to ``spec``, ``spec_b`` and ``out`` when those
+    are given (``length // 2 + 1`` complex, ``length // 2 + 1`` complex and
+    ``length`` real entries) and to fresh arrays otherwise; the arithmetic is
+    the same either way.  ``out`` may share memory with ``spec_b``, which is
+    spent by the time the inverse transform writes.
+    """
+    spec = np.fft.rfft(a, length, out=spec)
     if b is a:
         np.multiply(spec, spec, out=spec)
     else:
-        spec *= np.fft.rfft(b, length)
-    return np.fft.irfft(spec, length)[:n]
+        spec *= np.fft.rfft(b, length, out=spec_b)
+    return np.fft.irfft(spec, length, out=out)
 
 
 def _cross_term(q: np.ndarray) -> np.ndarray:
@@ -228,10 +250,12 @@ def point_mass_initial(p_plus: float = 0.5, k_max: int = 2) -> MassFunction:
 
 
 def _support_window(probs: np.ndarray) -> Optional[tuple[int, int]]:
-    nz = np.flatnonzero(probs)
-    if nz.size == 0:
+    """First and last index of a nonzero entry, or None when there is none."""
+    nonzero = probs != 0.0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
         return None
-    return int(nz[0]), int(nz[-1])
+    return lo, nonzero.size - 1 - int(nonzero[::-1].argmax())
 
 
 def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
@@ -311,12 +335,49 @@ def recurrence_rhs(q: np.ndarray) -> np.ndarray:
     are zero.  This is the increment of the one-level survival update, and
     the bound certifiers test their models against it.
     """
-    K = q.size - 1
-    rhs = np.zeros(K + 1)
-    if K < 2:
-        return rhs
-    rhs[2:] = 0.5 * (_cross_term(q) - q[2:] * (q[1] - q[2:]))
-    return rhs
+    return _RhsPlan(q.size - 1)(q)
+
+
+class _RhsPlan:
+    """:func:`recurrence_rhs` for arrays of one size K, with buffers that
+    outlive the call.
+
+    Calling the plan on ``q`` (``q.size == K + 1``) returns its own rhs
+    array, overwritten by the next call; a scan over many columns of one
+    size therefore allocates nothing per column above the direct cutoff.
+    The lengths and the order of every operation are those of a fresh
+    computation, so the results are bitwise equal.
+    """
+
+    def __init__(self, K: int):
+        self.K = K
+        self.rhs = np.zeros(K + 1)
+        self.length = _fast_len(2 * K - 2) if K > DIRECT_CONV_MAX else 0
+        if self.length:
+            self.spec = np.empty(self.length // 2 + 1, dtype=complex)
+            # the spectrum of q, and once the product is formed, the inverse
+            self.work = np.empty_like(self.spec)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        K = self.K
+        if K < 2:
+            return self.rhs
+        body = self.rhs[2:]
+        if self.length:
+            # _cross_term in the plan's buffers; the increments sit in the
+            # rhs body until the forward transform has read them
+            d = np.subtract(q[1:K], q[2 : K + 1], out=body)
+            conv = _fft_product(
+                d, q[1:], self.length, self.spec, self.work, self.work.view(float)[: self.length]
+            )
+            cross = conv[: K - 1]
+        else:
+            cross = _cross_term(q)
+        np.subtract(q[1], q[2:], out=body)
+        np.multiply(q[2:], body, out=body)
+        np.subtract(cross, body, out=body)
+        np.multiply(0.5, body, out=body)
+        return self.rhs
 
 
 def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
@@ -400,7 +461,20 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
 
 
 def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
-    _write_text(out, json.dumps(m.to_json_dict(), sort_keys=True) + "\n")
+    """``json.dumps(m.to_json_dict(), sort_keys=True)`` and a newline.
+
+    The ``probs`` list reaches ``out`` in blocks of ``_CSV_BLOCK_ROWS``
+    values, so the writer never holds the whole document.
+    """
+    head = json.dumps({"k_max": m.k_max, "level": m.level, "p_plus": m.p_plus}, sort_keys=True)
+    end = m.k_max + 1
+    with _text_target(out) as fh:
+        fh.write(head[:-1] + ', "probs": [')
+        for lo in range(1, end, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, end)
+            values = ", ".join(map(float.__repr__, m.probs[lo:hi].tolist()))
+            fh.write(values if lo == 1 else ", " + values)
+        fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
 
 
 def mass_function_from_json(d: dict) -> MassFunction:

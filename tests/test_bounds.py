@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,15 @@ from minplustree.bounds import (
     upper_model_smooth,
     upper_model_tail,
     upper_model_values,
+    _first_invalid,
 )
-from minplustree.distribution import CRITICAL_C, TruncationPolicy, evolve
+from minplustree.distribution import (
+    CRITICAL_C,
+    DIRECT_CONV_MAX,
+    TruncationPolicy,
+    _cross_term,
+    evolve,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -108,6 +116,22 @@ def test_recurrence_rhs_matches_f():
         rhs = recurrence_rhs(q)
         for k in ks:
             assert rhs[k] == pytest.approx(f_eval(q[1 : k + 1]) - q[k], abs=1e-12)
+
+
+def test_recurrence_rhs_one_shot_arrays():
+    # the public call never hands out a buffer that a later call overwrites;
+    # K = 5000 takes the FFT branch, whose buffers a scan reuses
+    for K in (60, 5000):
+        q = np.concatenate(([1.0], random_sk(K)))
+        q2 = np.concatenate(([1.0], random_sk(K)))
+        a = recurrence_rhs(q)
+        a_copy = a.copy()
+        b = recurrence_rhs(q2)
+        assert a is not b and not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, a_copy)
+        want = np.zeros(K + 1)
+        want[2:] = 0.5 * (_cross_term(q) - q[2:] * (q[1] - q[2:]))
+        np.testing.assert_array_equal(a, want)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +361,199 @@ def test_certify_upper_covers_model_two():
     rep = certify_upper(m, (30, 40), k_hi)
     assert rep.checked_k == (1, k_hi)
     assert math.isfinite(rep.min_margin)
+
+
+def _upper_values_reference(m, N, k_max):
+    """upper_model_values as both branches over the whole column, then a select."""
+    logk = np.zeros(k_max + 1)
+    logk[1:] = np.log(np.arange(1, k_max + 1, dtype=float))
+    out = np.where(
+        logk < m.threshold(N), upper_model_smooth(m, N, logk), upper_model_tail(m, N, logk)
+    )
+    out[0] = 1.0
+    return out
+
+
+def _lower_values_reference(m, N, k_max):
+    """lower_model_values with a per-slot band constant array."""
+    out = np.ones(k_max + 1)
+    head_hi = min(m.K - 1, k_max)
+    if head_hi >= 1:
+        out[1 : head_hi + 1] = 1.0 - m.b[1 : head_hi + 1] / N
+    if k_max >= m.K:
+        kk = np.arange(m.K, k_max + 1, dtype=float)
+        logk = np.log(kk)
+        c_band = np.full(kk.size, m.c)
+        for threshold, c_r in m.steps:
+            c_band[kk >= threshold] = c_r
+        vals = 1.0 - logk**2 / (c_band * N)
+        vals[logk >= np.sqrt(N * c_band)] = 0.0
+        out[m.K :] = vals
+    return out
+
+
+def _certify_reference(values_at, n_range, k_range, direction, model1_mask=None,
+                       validity_at=None):
+    """The certifiers' column loop with fresh arrays for every level N."""
+    (n_lo, n_hi), (k_lo, k_hi) = n_range, k_range
+    min_margin, first_violation, n_violations = math.inf, None, 0
+    gamma, saw_model1, curve_valid, first_invalid = math.inf, False, True, None
+    grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1))
+    q = values_at(n_lo, k_hi)
+    for N in range(n_lo, n_hi + 1):
+        q_next = values_at(N + 1, k_hi)
+        res = direction * ((q_next - q) - recurrence_rhs(q))
+        col = res[k_lo : k_hi + 1]
+        grid[N - n_lo] = col
+        min_margin = min(min_margin, float(col.min()))
+        bad = np.flatnonzero(col < 0.0)
+        n_violations += bad.size
+        if bad.size and first_violation is None:
+            first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
+        if model1_mask is not None:
+            mask = model1_mask(N, k_lo, k_hi)
+            if mask.any():
+                saw_model1 = True
+                kk = np.arange(k_lo, k_hi + 1, dtype=float)[mask]
+                gamma = min(gamma, float((col[mask] * N**2 / np.log(kk) ** 2).min()))
+        if validity_at is not None and curve_valid:
+            invalid = validity_at(N, k_hi)
+            if invalid is not None:
+                curve_valid, first_invalid = False, (N, invalid[0], invalid[1])
+        q = q_next
+    return CertificateReport(
+        checked_n=(n_lo, n_hi),
+        checked_k=(k_lo, k_hi),
+        min_margin=min_margin + 0.0,
+        first_violation=first_violation,
+        n_violations=n_violations,
+        gamma_estimate=(gamma if saw_model1 else None),
+        curve_valid=curve_valid,
+        first_invalid_curve=first_invalid,
+        residuals=grid,
+    )
+
+
+BIG_K = 3 * DIRECT_CONV_MAX + 5  # above the direct cutoff: the FFT plan's branch
+
+
+@pytest.mark.parametrize(
+    "C, beta, n_range, k_range",
+    [
+        (1.1 * CRITICAL_C, 2.0, (1000, 1006), (1, 3000)),
+        (3.62, 2.0, (10_000, 10_003), (1, BIG_K)),
+        (0.5 * CRITICAL_C, 1.5, (100, 104), (3, BIG_K)),  # violations
+        (1.1 * CRITICAL_C, 2.0, (30, 36), (1, BIG_K)),  # the junction inside the grid
+    ],
+)
+def test_certify_upper_matches_column_loop(C, beta, n_range, k_range):
+    m = UpperModel(C=C, beta=beta)
+
+    def model1_mask(N, k_lo, k_hi):
+        kk = np.arange(k_lo, k_hi + 1, dtype=float)
+        return (np.log(kk) < m.threshold(N)) & (kk >= 2.0)
+
+    want = _certify_reference(lambda N, k: upper_model_values(m, N, k), n_range, k_range,
+                              +1, model1_mask=model1_mask)
+    got = certify_upper(m, n_range, k_range, keep_grid=True)
+    assert got.to_json_dict() == want.to_json_dict()
+    # rows are copies: a view of the reused residual buffer would repeat the last column
+    assert not np.array_equal(got.residuals[0], got.residuals[-1])
+    plain = {k: v for k, v in want.to_json_dict().items() if k not in ("grid_shape", "residuals")}
+    assert certify_upper(m, n_range, k_range).to_json_dict() == plain
+
+
+@pytest.mark.parametrize(
+    "model, n_range, k_range",
+    [
+        (make_log_splice(12000, 1.0), (10_000, 10_004), (12_000, 12_000 + BIG_K)),
+        (make_log_splice(12000, 0.9 * CRITICAL_C), (10_000, 10_002), (12_000, 14_000)),
+        (LowerStepModel(b=b_sequence(151), K=151, c=1.0), (8, 30), (1, 150)),
+        # step bands; the band jump opens at N = 15, in the middle of the scan
+        (LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (5000, 2.0))),
+         (10, 20), (1, BIG_K)),
+    ],
+)
+def test_certify_lower_matches_column_loop(model, n_range, k_range):
+    want = _certify_reference(lambda N, k: lower_model_values(model, N, k), n_range, k_range,
+                              -1, validity_at=lambda N, k: lower_model_validity(model, N, k))
+    got = certify_lower(model, n_range, k_range, keep_grid=True)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert not np.array_equal(got.residuals[0], got.residuals[-1])
+
+
+def _validity_reference(q):
+    """lower_model_validity's check with a full difference array."""
+    k_max = q.size - 1
+    bad_range = (q[1:] < -1e-12) | (q[1:] > 1.0 + 1e-12)
+    bad_mono = np.zeros(k_max, dtype=bool)
+    bad_mono[1:] = np.diff(q[1:]) > 1e-12
+    idx = np.flatnonzero(bad_range | bad_mono)
+    if idx.size == 0:
+        return None
+    return int(idx[0]) + 1, float(q[int(idx[0]) + 1])
+
+
+def test_lower_model_validity_matches_difference_reference():
+    rng = np.random.default_rng(11)
+    models = (
+        make_log_splice(12000, 1.0),
+        LowerStepModel(b=b_sequence(151), K=151, c=1.0),
+        LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (1000, 2.0))),
+    )
+    for m in models:
+        for N in (5, 10, 14, 15, 25, 10_000):
+            for k_max in (1, 2, 150, 5000):
+                q = lower_model_values(m, N, k_max)
+                assert lower_model_validity(m, N, k_max) == _validity_reference(q)
+    # rises just below, at and above the slack decide on the computed difference
+    q = np.concatenate(([1.0], np.linspace(1.0, 0.5, 20)))
+    for i, step in ((5, 1e-12), (9, 2e-12), (12, 0.5e-12)):
+        q[i] = q[i - 1] + step
+    assert _first_invalid(q) == _validity_reference(q)
+    for _ in range(50):
+        q = np.concatenate(([1.0], np.sort(rng.random(30))[::-1]))
+        q[rng.integers(1, 31, size=2)] += rng.choice([-2.0, 1e-12, 3e-12, 0.5])
+        assert _first_invalid(q) == _validity_reference(q)
+
+
+def test_certify_lower_invalid_mid_scan():
+    m = LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5),))
+    rep = certify_lower(m, (10, 20), (1, 200))
+    assert not rep.curve_valid
+    assert rep.first_invalid_curve[:2] == (15, 100)
+
+
+def test_model_values_match_branch_formulas():
+    # the column writers keep the per-branch formulas bit for bit
+    for m in (UpperModel(C=1.1 * CRITICAL_C, beta=2.0), UpperModel(C=0.8 * CRITICAL_C, beta=1.5)):
+        for N, k_max in ((1, 50), (5, 99_999), (40, BIG_K), (10_000, 1000)):
+            np.testing.assert_array_equal(
+                upper_model_values(m, N, k_max), _upper_values_reference(m, N, k_max)
+            )
+    models = (
+        make_log_splice(12000, 1.0),
+        LowerStepModel(b=b_sequence(151), K=151, c=1.0),
+        LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (1000, 2.0))),
+    )
+    for m in models:
+        for N, k_max in ((1, 50), (10, 120), (20, 5000), (10_000, 20_000)):
+            np.testing.assert_array_equal(
+                lower_model_values(m, N, k_max), _lower_values_reference(m, N, k_max)
+            )
+
+
+def test_certify_lower_memory_per_k():
+    # the bound the README states for one scan at k_hi entries
+    m = make_log_splice(12000, 1.0)
+    k_hi = 2**16
+    tracemalloc.start()
+    try:
+        certify_lower(m, (10_000, 10_002), (12_000, k_hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * k_hi
 
 
 def test_certificate_report_consistency_enforced():

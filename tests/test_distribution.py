@@ -21,8 +21,11 @@ from minplustree.distribution import (
     step_pmf,
     step_survival,
     write_distribution_csv,
+    write_distribution_json,
+    _CSV_BLOCK_ROWS,
     _convolve,
     _fast_len,
+    _support_window,
 )
 
 from enum_oracle import enumerate_pmf
@@ -283,6 +286,35 @@ def test_fft_convolution_bitwise_matches_fftconvolve(size):
     np.testing.assert_array_equal(_convolve(other, seg), fftconvolve(other, seg))
 
 
+def _support_window_reference(probs):
+    """The support window read off the full index array of nonzero entries."""
+    nz = np.flatnonzero(probs)
+    if nz.size == 0:
+        return None
+    return int(nz[0]), int(nz[-1])
+
+
+def test_support_window_matches_index_array_reference():
+    cases = [np.zeros(1), np.zeros(1000)]
+    for size in (1, 2, 1000):
+        for at in {0, size // 2, size - 1}:
+            one = np.zeros(size)
+            one[at] = 0.25
+            cases.append(one)
+    both_ends = np.zeros(1000)
+    both_ends[[0, 999]] = 0.5
+    cases.append(both_ends)
+    rng = np.random.default_rng(7)
+    for lo, hi in ((1, 2), (3, 500), (10, 998), (400, 401)):
+        window = np.zeros(1000)
+        window[lo : hi + 1] = rng.random(hi - lo + 1) * (rng.random(hi - lo + 1) < 0.5)
+        window[[lo, hi]] = 1e-300
+        cases.append(window)
+    cases.append(evolve(12, 0.5, TruncationPolicy(k_max=4096)).probs)
+    for probs in cases:
+        assert _support_window(probs) == _support_window_reference(probs)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -417,6 +449,40 @@ def test_evolve_memory_per_cap_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 80 * cap
+
+
+def test_json_blocks_match_json_dumps(tmp_path):
+    # several full blocks and a partial last one, and one short level
+    k_max = 3 * _CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(5)
+    probs = np.zeros(k_max + 1)
+    probs[1:] = rng.random(k_max) * (rng.random(k_max) < 0.7)
+    probs *= 0.75 / probs.sum()
+    cases = [
+        MassFunction(probs=probs, tail_mass=0.25, level=20, p_plus=0.5),
+        MassFunction(probs=probs / 0.75, tail_mass=0, level=20, p_plus=1),  # int fields
+        evolve(20, 0.3, TruncationPolicy(k_max=k_max)),
+        evolve(6, 0.5, TruncationPolicy(k_max=16)),
+    ]
+    for m in cases:
+        want = json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
+        buf = io.StringIO()
+        write_distribution_json(m, buf)
+        assert buf.getvalue() == want
+        path = tmp_path / "d.json"
+        write_distribution_json(m, str(path))
+        assert path.read_bytes() == want.encode()
+
+
+def test_json_writer_memory_bounded_by_block(tmp_path):
+    m = evolve(19, 0.5, TruncationPolicy())  # the full support: 2^18 values
+    tracemalloc.start()
+    try:
+        write_distribution_json(m, str(tmp_path / "d.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * m.k_max
 
 
 def test_json_roundtrip():
