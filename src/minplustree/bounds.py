@@ -17,14 +17,24 @@ hold for N large, so the empirical onset is data, not an error.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# recurrence_rhs is not called here but stays importable from this module,
-# next to the models it is checked against
-from .distribution import CRITICAL_C, SurvivalCurve, _MONO_SLACK, _RhsPlan, recurrence_rhs
+# recurrence_rhs is not called here; it stays importable from this module
+# because the benchmark's replay (perfbench/replay.py) calls bounds.recurrence_rhs
+from .distribution import (
+    CRITICAL_C,
+    DIRECT_CONV_MAX,
+    SurvivalCurve,
+    _MONO_SLACK,
+    _RhsPlan,
+    _usable_cpus,
+    recurrence_rhs,
+)
 
 RangeLike = Union[int, Tuple[int, int]]
 FloatOrArray = Union[float, np.ndarray]
@@ -172,16 +182,6 @@ def _upper_column(
     out[0] = 1.0
 
 
-def upper_model_eval(m: UpperModel, N: int, k: int) -> float:
-    """Scalar q_{N,k}; branch chosen by log k against the junction."""
-    if N < 1 or k < 1:
-        raise ValueError("N and k must be >= 1")
-    log_k = np.log(float(k))
-    if log_k < m.threshold(N):
-        return float(upper_model_smooth(m, N, log_k))
-    return float(upper_model_tail(m, N, log_k))
-
-
 @dataclass(frozen=True)
 class LowerStepModel:
     """Three-branch minorizing array, optionally with extra step bands.
@@ -283,11 +283,6 @@ def _lower_column(
     out[0] = 1.0
 
 
-def lower_model_eval(m: LowerStepModel, N: int, k: int) -> float:
-    """Scalar q_{N,k}: entry k of :func:`lower_model_values`."""
-    return float(lower_model_values(m, N, k)[k])
-
-
 def lower_model_validity(m: LowerStepModel, N: int, k_max: int) -> Optional[Tuple[int, float]]:
     """First k where the array fails to be a survival curve at level N, or None.
 
@@ -382,10 +377,15 @@ def _certify(
     ``fill_column(N, out)`` writes the model array at level N, slots
     0..k_hi, into ``out``.  The scan builds every buffer once: two model
     columns that swap roles from one level to the next, the residual, and a
-    recurrence_rhs plan.  ``gamma_at(N, col)``, when given, returns the
-    smallest breathing-room ratio of the residual column at N, or None
-    where no slot qualifies.  ``check_validity`` tests each model column
-    for being a survival curve until the first one that is not.
+    recurrence_rhs plan.  Above the direct cutoff, with more than one usable
+    CPU, the plan runs one forward transform of each level on a single
+    helper thread that lives as long as the scan; everything else,
+    ``fill_column`` and ``gamma_at`` included, stays on the calling thread.
+
+    ``gamma_at(N, col)``, when given, returns the smallest breathing-room
+    ratio of the residual column at N, or None where no slot qualifies.
+    ``check_validity`` tests each model column for being a survival curve
+    until the first one that is not.
     """
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
@@ -399,39 +399,41 @@ def _certify(
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
-    rhs_of = _RhsPlan(k_hi)
-    q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
-    col = np.empty(k_hi - k_lo + 1)
-    fill_column(n_lo, q)
-    for N in range(n_lo, n_hi + 1):
-        fill_column(N + 1, q_next)
-        rhs = rhs_of(q)
-        # direction * ((q_next - q) - rhs) on k_lo..k_hi
-        np.subtract(q_next[k_lo:], q[k_lo:], out=col)
-        np.subtract(col, rhs[k_lo:], out=col)
-        if direction < 0:
-            np.negative(col, out=col)
-        if grid is not None:
-            grid[N - n_lo] = col
-        m = float(col.min())
-        if m < min_margin:
-            min_margin = m
-        if not m >= 0.0:  # a NaN minimum hides nothing either
-            bad = np.flatnonzero(col < 0.0)
-            n_violations += bad.size
-            if bad.size and first_violation is None:
-                first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
-        if gamma_at is not None:
-            ratio = gamma_at(N, col)
-            if ratio is not None:
-                saw_model1 = True
-                gamma = min(gamma, ratio)
-        if check_validity and curve_valid:
-            invalid = _first_invalid(q)
-            if invalid is not None:
-                curve_valid = False
-                first_invalid = (N, invalid[0], invalid[1])
-        q, q_next = q_next, q
+    overlap = k_hi > DIRECT_CONV_MAX and _usable_cpus() > 1
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
+        rhs_of = _RhsPlan(k_hi, pool)
+        q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
+        col = np.empty(k_hi - k_lo + 1)
+        fill_column(n_lo, q)
+        for N in range(n_lo, n_hi + 1):
+            fill_column(N + 1, q_next)
+            rhs = rhs_of(q)
+            # direction * ((q_next - q) - rhs) on k_lo..k_hi
+            np.subtract(q_next[k_lo:], q[k_lo:], out=col)
+            np.subtract(col, rhs[k_lo:], out=col)
+            if direction < 0:
+                np.negative(col, out=col)
+            if grid is not None:
+                grid[N - n_lo] = col
+            m = float(col.min())
+            if m < min_margin:
+                min_margin = m
+            if not m >= 0.0:  # a NaN minimum hides nothing either
+                bad = np.flatnonzero(col < 0.0)
+                n_violations += bad.size
+                if bad.size and first_violation is None:
+                    first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
+            if gamma_at is not None:
+                ratio = gamma_at(N, col)
+                if ratio is not None:
+                    saw_model1 = True
+                    gamma = min(gamma, ratio)
+            if check_validity and curve_valid:
+                invalid = _first_invalid(q)
+                if invalid is not None:
+                    curve_valid = False
+                    first_invalid = (N, invalid[0], invalid[1])
+            q, q_next = q_next, q
 
     return CertificateReport(
         checked_n=(n_lo, n_hi),

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain or I/O error, 2 certificate violation under
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -118,12 +117,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     )
     summary = simulate.run(cfg)
 
-    buf = io.StringIO()
-    if args.format == "csv":
-        simulate.write_summary_csv(summary, buf)
-    else:
-        simulate.write_summary_json(summary, buf)
-    _emit(buf.getvalue(), args.output)
+    writer = simulate.write_summary_csv if args.format == "csv" else simulate.write_summary_json
+    writer(summary, _target(args.output))
     _summary(
         f"sample: depth={cfg.depth} p={cfg.p_plus} n={cfg.n_samples} seed={cfg.seed} "
         f"workers={cfg.workers} mean_log={summary.mean_log:.6f}"
@@ -169,7 +164,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     verdict = "OK" if result.satisfied else "VIOLATED"
     line = (
         f"{result.name}(k={result.k}) = {result.value:.6f}  "
-        f"bound {result.bound:.6f}  {verdict}\n"
+        f"{result.relation} bound {result.bound:.6f}  {verdict}\n"
     )
     if args.output and args.output != "-":
         _emit(

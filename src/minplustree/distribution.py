@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, TextIO, Union
@@ -51,6 +53,13 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution: direct for short inputs, FFT-based above the cutoff.
 
@@ -74,6 +83,7 @@ def _fft_product(
     spec: Optional[np.ndarray] = None,
     spec_b: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
+    pool: Optional[Executor] = None,
 ) -> np.ndarray:
     """Product of the real spectra of ``a`` and ``b``, transformed back.
 
@@ -86,12 +96,26 @@ def _fft_product(
     ``length`` real entries) and to fresh arrays otherwise; the arithmetic is
     the same either way.  ``out`` may share memory with ``spec_b``, which is
     spent by the time the inverse transform writes.
+
+    With a ``pool``, the transform of a distinct ``b`` runs on it while this
+    thread transforms ``a`` (numpy's transforms release the GIL).  The call
+    returns only after both have finished, so ``b`` may be rewritten and
+    ``spec_b`` reused once it returns, even by an exception.  Each transform
+    is the one a serial call makes, so the result is bitwise the same.
     """
-    spec = np.fft.rfft(a, length, out=spec)
     if b is a:
+        spec = np.fft.rfft(a, length, out=spec)
         np.multiply(spec, spec, out=spec)
-    else:
+    elif pool is None:
+        spec = np.fft.rfft(a, length, out=spec)
         spec *= np.fft.rfft(b, length, out=spec_b)
+    else:
+        pending = pool.submit(np.fft.rfft, b, length, out=spec_b)
+        try:
+            spec = np.fft.rfft(a, length, out=spec)
+        finally:
+            spec_b = pending.result()
+        spec *= spec_b
     return np.fft.irfft(spec, length, out=out)
 
 
@@ -346,11 +370,14 @@ class _RhsPlan:
     array, overwritten by the next call; a scan over many columns of one
     size therefore allocates nothing per column above the direct cutoff.
     The lengths and the order of every operation are those of a fresh
-    computation, so the results are bitwise equal.
+    computation, so the results are bitwise equal.  With a ``pool``, the two
+    forward transforms of a column above the cutoff run concurrently, one
+    of them on the pool (see :func:`_fft_product`).
     """
 
-    def __init__(self, K: int):
+    def __init__(self, K: int, pool: Optional[Executor] = None):
         self.K = K
+        self.pool = pool
         self.rhs = np.zeros(K + 1)
         self.length = _fast_len(2 * K - 2) if K > DIRECT_CONV_MAX else 0
         if self.length:
@@ -368,7 +395,13 @@ class _RhsPlan:
             # rhs body until the forward transform has read them
             d = np.subtract(q[1:K], q[2 : K + 1], out=body)
             conv = _fft_product(
-                d, q[1:], self.length, self.spec, self.work, self.work.view(float)[: self.length]
+                d,
+                q[1:],
+                self.length,
+                self.spec,
+                self.work,
+                self.work.view(float)[: self.length],
+                self.pool,
             )
             cross = conv[: K - 1]
         else:

@@ -21,14 +21,28 @@ LIMIT_MEAN = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 _FINITE_K_SLACK = 0.01  # absolute slack when checking asymptotic claims at finite k
 
 
+def _log_ratio_sum(j: np.ndarray, k: int) -> float:
+    """sum of -log(1 - j/k) / j over the array j, which it overwrites.
+
+    The terms are formed in place with the operations and order of
+    ``np.sum(-np.log1p(-j / k) / j)``, so the value is the same bit for bit
+    with one level-sized temporary instead of two.
+    """
+    t = np.negative(j)
+    np.divide(t, k, out=t)
+    np.log1p(t, out=t)
+    np.negative(t, out=t)
+    np.divide(t, j, out=t)
+    return float(np.sum(t))
+
+
 def h(k: int) -> float:
     """h(k) = sum_{l=1}^{k-1} (1/l) * log(k / (k - l)); bounded by pi^2/6."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return 0.0
-    ell = np.arange(1, k, dtype=float)
-    return float(np.sum(-np.log1p(-ell / k) / ell))
+    return _log_ratio_sum(np.arange(1, k, dtype=float), k)
 
 
 def B(k: int) -> float:
@@ -36,7 +50,13 @@ def B(k: int) -> float:
     if k < 2:
         raise ValueError("k must be >= 2")
     j = np.arange(1, k, dtype=float)
-    return float(np.sum(np.log1p(-j / k) ** 2 / j))
+    # np.sum(np.log1p(-j / k) ** 2 / j), each step in place
+    t = np.negative(j)
+    np.divide(t, k, out=t)
+    np.log1p(t, out=t)
+    np.square(t, out=t)
+    np.divide(t, j, out=t)
+    return float(np.sum(t))
 
 
 def M(A: int, k: int) -> float:
@@ -52,8 +72,7 @@ def M(A: int, k: int) -> float:
     start = k // A
     if start >= k:
         return 0.0
-    j = np.arange(max(start, 1), k, dtype=float)
-    return float(np.sum(-np.log1p(-j / k) / j))
+    return _log_ratio_sum(np.arange(max(start, 1), k, dtype=float), k)
 
 
 def S_alpha(k: int, alpha: float) -> float:
@@ -63,8 +82,15 @@ def S_alpha(k: int, alpha: float) -> float:
     if k < 2:
         raise ValueError("k must be >= 2")
     ell = np.arange(1, k, dtype=float)
-    left = ell**-alpha - (ell + 1.0) ** -alpha
-    right = (k - ell) ** -alpha - float(k) ** -alpha
+    # left = ell**-a - (ell + 1)**-a and right = (k - ell)**-a - k**-a, in
+    # place: ell itself becomes ell**-a once right no longer needs it
+    left = np.add(ell, 1.0)
+    np.power(left, -alpha, out=left)
+    right = np.subtract(k, ell)
+    np.power(ell, -alpha, out=ell)
+    np.subtract(ell, left, out=left)
+    np.power(right, -alpha, out=right)
+    np.subtract(right, float(k) ** -alpha, out=right)
     return float(np.dot(left, right))
 
 
@@ -99,13 +125,18 @@ def limit_cdf(t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """One named series value next to its claimed bound."""
+    """One named series value next to its claimed bound.
+
+    ``relation`` is the comparison of value to bound that was checked:
+    ``"<="``, ``"<"`` or ``">="``.
+    """
 
     name: str
     k: int
     value: float
     bound: float
     satisfied: bool
+    relation: str
 
 
 def evaluate(name: str, k: int, alpha: Optional[float] = None, A: Optional[int] = None) -> SeriesEval:
@@ -117,26 +148,28 @@ def evaluate(name: str, k: int, alpha: Optional[float] = None, A: Optional[int] 
     if name == "h":
         value = h(k)
         bound = PI2_OVER_6
-        ok = value <= bound + 1e-12
+        relation, ok = "<=", value <= bound + 1e-12
     elif name == "B":
         value = B(k)
         bound = 12.0
-        ok = value < bound
+        relation, ok = "<", value < bound
     elif name == "M":
         if A is None:
             raise ValueError("M requires the window parameter A")
         value = M(A, k)
         bound = PI2_OVER_6 - PI2_OVER_6 / A - _FINITE_K_SLACK
-        ok = value >= bound
+        relation, ok = ">=", value >= bound
     elif name == "S":
         if alpha is None:
             raise ValueError("S requires alpha")
         value = S_alpha(k, alpha)
         bound = S_alpha_bound(k, alpha)
-        ok = value <= bound
+        relation, ok = "<=", value <= bound
     else:
         raise ValueError(f"unknown series {name!r}")
-    return SeriesEval(name=name, k=k, value=value, bound=bound, satisfied=bool(ok))
+    return SeriesEval(
+        name=name, k=k, value=value, bound=bound, satisfied=bool(ok), relation=relation
+    )
 
 
 @dataclass(frozen=True)

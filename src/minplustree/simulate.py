@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, MassFunction, _write_text
+from .distribution import CRITICAL_C, MassFunction, _usable_cpus, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # leaf block of one level-synchronous pass
@@ -222,12 +221,6 @@ def _worker_counts(cfg: SimConfig, share: int, seq: np.random.SeedSequence) -> D
         for v, c in zip(uniq.tolist(), cnt.tolist()):
             counts[v] = counts.get(v, 0) + c
     return counts
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run(cfg: SimConfig) -> EmpiricalSummary:

@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from minplustree import bounds
 from minplustree.bounds import (
     CertificateReport,
     LowerStepModel,
@@ -13,12 +17,10 @@ from minplustree.bounds import (
     certify_upper,
     f_eval,
     f_grad,
-    lower_model_eval,
     lower_model_validity,
     lower_model_values,
     recurrence_rhs,
     sandwich_check,
-    upper_model_eval,
     upper_model_smooth,
     upper_model_tail,
     upper_model_values,
@@ -180,18 +182,20 @@ def test_upper_model_branches_agree_at_junction():
 
 def test_upper_model_k1_is_one():
     m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
-    assert upper_model_eval(m, 7, 1) == 1.0
+    assert upper_model_values(m, 7, 1)[1] == 1.0
     assert upper_model_values(m, 7, 10)[1] == 1.0
 
 
-def test_upper_model_eval_matches_values():
-    # the scalar and the column go through the same branch formulas
+def test_upper_model_values_follow_scalar_branch_rule():
+    # each entry is the branch formula that log k picks against the junction
     for C, beta in ((1.1 * CRITICAL_C, 2.0), (0.8 * CRITICAL_C, 1.5)):
         m = UpperModel(C=C, beta=beta)
         for N in (5, 50):
             vals = upper_model_values(m, N, 99_999)
             for k in (1, 2, 40, 1000, 99_999):
-                assert upper_model_eval(m, N, k) == vals[k]
+                log_k = np.log(float(k))
+                branch = upper_model_smooth if log_k < m.threshold(N) else upper_model_tail
+                assert float(branch(m, N, log_k)) == vals[k]
 
 
 def test_upper_model_nonincreasing_in_k():
@@ -218,12 +222,12 @@ def test_upper_model_validation():
 def test_lower_model_branches():
     b = np.array([0.0, 0.0, 2.0, 3.0])
     m = LowerStepModel(b=b, K=4, c=1.0)
-    assert lower_model_eval(m, 100, 1) == 1.0
-    assert lower_model_eval(m, 100, 2) == 1.0 - 2.0 / 100
+    assert lower_model_values(m, 100, 1)[1] == 1.0
+    assert lower_model_values(m, 100, 2)[2] == 1.0 - 2.0 / 100
     # beyond exp(sqrt(N c)) the value is zero
     N = 10
     k_zero = int(math.exp(math.sqrt(N * m.c))) + 1
-    assert lower_model_eval(m, N, k_zero) == 0.0
+    assert lower_model_values(m, N, k_zero)[k_zero] == 0.0
     vals = lower_model_values(m, N, k_zero + 5)
     assert np.all(vals[k_zero:] == 0.0)
 
@@ -238,7 +242,7 @@ def test_lower_model_junction_continuity():
     assert m.junction_gap == pytest.approx(0.0, abs=1e-12)
     N = 1000
     head_end = 1.0 - b[K] / N
-    assert lower_model_eval(m, N, K) == pytest.approx(head_end, abs=1e-12)
+    assert lower_model_values(m, N, K)[K] == pytest.approx(head_end, abs=1e-12)
 
 
 def test_lower_model_rejects_nonzero_b1():
@@ -480,6 +484,70 @@ def test_certify_lower_matches_column_loop(model, n_range, k_range):
     got = certify_lower(model, n_range, k_range, keep_grid=True)
     assert got.to_json_dict() == want.to_json_dict()
     assert not np.array_equal(got.residuals[0], got.residuals[-1])
+
+
+SCAN_CASES = [
+    (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (1000, 1006), (1, 3000)),
+    (certify_upper, UpperModel(C=3.62, beta=2.0), (10_000, 10_003), (1, BIG_K)),
+    (certify_upper, UpperModel(C=0.5 * CRITICAL_C, beta=1.5), (100, 104), (3, BIG_K)),
+    (certify_lower, make_log_splice(12000, 1.0), (10_000, 10_004), (12_000, 12_000 + BIG_K)),
+    (certify_lower, LowerStepModel(b=b_sequence(151), K=151, c=1.0), (8, 30), (1, 150)),
+    # step bands; the model stops being a survival curve at N = 15, mid-scan
+    (certify_lower, LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (5000, 2.0))),
+     (10, 20), (1, BIG_K)),
+]
+
+
+@pytest.mark.parametrize("certify, model, n_range, k_range", SCAN_CASES)
+def test_threaded_scan_matches_serial(monkeypatch, certify, model, n_range, k_range):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(bounds, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+    serial = certify(model, n_range, k_range, keep_grid=True).to_json_dict()
+    assert pools == []
+
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
+    try:
+        threaded = certify(model, n_range, k_range, keep_grid=True).to_json_dict()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    # one helper thread per scan, and only where the recurrence takes the FFT branch
+    assert pools == ([1] if k_range[1] > DIRECT_CONV_MAX else [])
+    assert threading.active_count() == before
+
+
+def test_scan_transform_error_propagates_and_joins_helper(monkeypatch):
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    rfft = np.fft.rfft
+    lock = threading.Lock()
+    callers = []
+
+    def failing_rfft(*args, **kwargs):
+        with lock:
+            callers.append(threading.get_ident())
+            n = len(callers)
+        if n == 3:
+            raise RuntimeError("third transform failed")
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", failing_rfft)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third transform failed"):
+        certify_upper(UpperModel(C=3.62, beta=2.0), (10_000, 10_003), (1, BIG_K))
+    # the second level's other transform was already under way and is waited for
+    assert len(callers) == 4
+    assert len(set(callers)) == 2
+    assert threading.active_count() == before
 
 
 def _validity_reference(q):

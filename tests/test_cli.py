@@ -5,6 +5,7 @@ import pytest
 
 from minplustree.cli import main
 from minplustree.regimes import LIMIT_K_MAX
+from minplustree.series import evaluate
 
 
 def test_usage_error_on_bad_probability(capsys):
@@ -83,6 +84,16 @@ def test_evolve_file_and_stdout_identical(tmp_path, capsys, fmt):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_file_and_stdout_identical(tmp_path, capsys, fmt):
+    args = ["sample", "--depth", "6", "--samples", "3000", "--seed", "3", "--format", fmt]
+    out = tmp_path / f"s.{fmt}"
+    assert main(args + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_sample_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -115,7 +126,12 @@ def test_sample_json(tmp_path):
 def test_series_stdout(capsys):
     assert main(["series", "--fn", "h", "--k", "2"]) == 0
     text = capsys.readouterr().out
-    assert "0.693147" in text and "1.644934" in text and "OK" in text
+    assert "0.693147  <= bound 1.644934  OK" in text
+    # M is bounded below: the line states the relation that was checked
+    assert main(["series", "--fn", "M", "--k", "1000", "--A", "8"]) == 0
+    value = evaluate("M", 1000, A=8)
+    line = capsys.readouterr().out
+    assert f"{value.value:.6f}  >= bound {value.bound:.6f}  OK" in line
 
 
 def test_series_requires_parameters(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,11 +109,67 @@ def test_tangent_error_series():
     assert weighted_tangent_error_sum(3, 120) < -7.0
 
 
+# the sums as single expressions, with one temporary per operation
+def _h_reference(k):
+    ell = np.arange(1, k, dtype=float)
+    return float(np.sum(-np.log1p(-ell / k) / ell))
+
+
+def _B_reference(k):
+    j = np.arange(1, k, dtype=float)
+    return float(np.sum(np.log1p(-j / k) ** 2 / j))
+
+
+def _M_reference(A, k):
+    j = np.arange(max(k // A, 1), k, dtype=float)
+    return float(np.sum(-np.log1p(-j / k) / j))
+
+
+def _S_reference(k, alpha):
+    ell = np.arange(1, k, dtype=float)
+    left = ell**-alpha - (ell + 1.0) ** -alpha
+    right = (k - ell) ** -alpha - float(k) ** -alpha
+    return float(np.dot(left, right))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 101, 4097, 2**18, 999_983, 1_000_000])
+def test_series_equal_to_expression_references(k):
+    assert h(k) == _h_reference(k)
+    assert B(k) == _B_reference(k)
+    for A in (1, 2, 3, 8):
+        if A <= k:  # M needs k >= A
+            assert M(A, k) == _M_reference(A, k)
+    for alpha in (0.01, 0.3, 0.49):
+        assert S_alpha(k, alpha) == _S_reference(k, alpha)
+
+
+def test_series_memory_per_k():
+    k = 2**18
+    limits = {
+        "h": (lambda: h(k), 17),
+        "B": (lambda: B(k), 17),
+        "M": (lambda: M(8, k), 17),
+        "S": (lambda: S_alpha(k, 0.01), 25),
+    }
+    for name, (evaluate_at_k, bytes_per_k) in limits.items():
+        tracemalloc.start()
+        try:
+            evaluate_at_k()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_k * k, name
+
+
 def test_evaluate_registry():
     assert evaluate("h", 2).satisfied
     assert evaluate("B", 1000).satisfied
     assert evaluate("M", 1_000_000, A=8).satisfied
     assert evaluate("S", 10_000, alpha=0.01).satisfied
+    # M's bound is a lower bound, the others upper bounds
+    relations = {"h": "<=", "B": "<", "M": ">=", "S": "<="}
+    for name, rel in relations.items():
+        assert evaluate(name, 100, alpha=0.01, A=8).relation == rel
     with pytest.raises(ValueError):
         evaluate("S", 10)
     with pytest.raises(ValueError):
