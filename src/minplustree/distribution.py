@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import Executor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -480,34 +482,84 @@ def moments(m: MassFunction) -> Moments:
 def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     """CSV with one row per mass value: columns k, pmf, survival.
 
-    Rows reach ``out`` in blocks of ``_CSV_BLOCK_ROWS``, so the writer holds
-    one block of text, not the whole table.
+    Rows reach ``out`` in blocks of ``_CSV_BLOCK_ROWS``, formatted by forked
+    worker processes or by this one as :func:`_rendered_blocks` decides, with
+    the same bytes either way.  The writer holds the survival column and at
+    most two blocks of text per worker, never the whole table.
     """
     surv = m.survival().values
-    end = m.k_max + 1
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
-        for lo in range(1, end, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, end)
-            rows = zip(range(lo, hi), m.probs[lo:hi].tolist(), surv[lo:hi].tolist())
-            fh.write("".join([f"{k},{x!r},{y!r}\n" for k, x, y in rows]))
+        fh.flush()  # the forked workers inherit the target with nothing buffered
+        with closing(_rendered_blocks(_csv_rows, m.k_max + 1, m.probs, surv)) as blocks:
+            for text in blocks:
+                fh.write(text)
 
 
 def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     """``json.dumps(m.to_json_dict(), sort_keys=True)`` and a newline.
 
     The ``probs`` list reaches ``out`` in blocks of ``_CSV_BLOCK_ROWS``
-    values, so the writer never holds the whole document.
+    values, formatted as by :func:`write_distribution_csv`, so the writer
+    never holds the whole document.
     """
     head = json.dumps({"k_max": m.k_max, "level": m.level, "p_plus": m.p_plus}, sort_keys=True)
-    end = m.k_max + 1
     with _text_target(out) as fh:
         fh.write(head[:-1] + ', "probs": [')
-        for lo in range(1, end, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, end)
-            values = ", ".join(map(float.__repr__, m.probs[lo:hi].tolist()))
-            fh.write(values if lo == 1 else ", " + values)
+        fh.flush()  # the forked workers inherit the target with nothing buffered
+        with closing(_rendered_blocks(_json_values, m.k_max + 1, m.probs)) as blocks:
+            for text in blocks:
+                fh.write(text)
         fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
+
+
+def _csv_rows(lo: int, probs: np.ndarray, surv: np.ndarray) -> str:
+    """The CSV rows k = lo, lo + 1, ... of the pmf and survival slices."""
+    rows = zip(range(lo, lo + probs.size), probs.tolist(), surv.tolist())
+    return "".join([f"{k},{x!r},{y!r}\n" for k, x, y in rows])
+
+
+def _json_values(lo: int, probs: np.ndarray) -> str:
+    """The ``probs`` list entries from k = lo on, comma-led unless k = 1."""
+    values = ", ".join(map(float.__repr__, probs.tolist()))
+    return values if lo == 1 else ", " + values
+
+
+def _rendered_blocks(render: Callable[..., str], end: int, *columns: np.ndarray) -> Iterator[str]:
+    """``render(lo, *(c[lo:hi] for c in columns))`` for each block of
+    ``_CSV_BLOCK_ROWS`` rows of [1, end), in order.
+
+    ``float.__repr__`` holds the interpreter lock, so formatting a large
+    level keeps one CPU busy while the others idle.  When the level spans two
+    blocks or more, more than one CPU is usable, the platform can fork, and
+    no other thread runs (forking a threaded process is unsafe), the blocks
+    go to a pool of forked processes, one per usable CPU, with at most two
+    blocks per worker in flight.  The workers get the column slices and
+    return text; they never see the target.  Otherwise this process renders
+    each block in turn.  Either way the text is the same.
+
+    Close the generator when stopping early, so that the pool is shut down
+    and its workers joined.
+    """
+    starts = range(1, end, _CSV_BLOCK_ROWS)
+    slices = [[c[lo : lo + _CSV_BLOCK_ROWS] for lo in starts] for c in columns]
+    workers = min(_usable_cpus(), len(starts))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                pending: deque = deque()
+                for args in zip(starts, *slices):
+                    if len(pending) == 2 * workers:
+                        yield pending.popleft().result()
+                    pending.append(pool.submit(render, *args))
+                while pending:
+                    yield pending.popleft().result()
+            return
+    yield from map(render, starts, *slices)
 
 
 def mass_function_from_json(d: dict) -> MassFunction:

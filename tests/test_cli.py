@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -82,6 +85,21 @@ def test_evolve_file_and_stdout_identical(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert main(args) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_evolve_stdout_from_forked_writer(tmp_path):
+    # 3 blocks of rows, so the writer forks its workers where it can; in a
+    # fresh interpreter stdout is a real buffered stream, which the workers inherit
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    args = [sys.executable, "-m", "minplustree", "evolve", "--N", "17", "--kmax", "40000"]
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "d.csv"
+    subprocess.run(args + ["--output", str(out)], env=env, check=True, timeout=120)
+    piped = subprocess.run(args, env=env, capture_output=True, check=True, timeout=120)
+    assert piped.stdout == out.read_bytes()
+    assert piped.stdout.startswith(b"k,pmf,survival\n")
+    assert piped.stdout.count(b"k,pmf,survival") == 1
+    assert piped.stdout.count(b"\n") == 40001
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,13 +2,18 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import threading
 import time
 import tracemalloc
+from concurrent.futures import process
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from minplustree import distribution
 from minplustree.distribution import (
     KMAX_LIMIT,
     MassFunction,
@@ -405,27 +410,132 @@ def _csv_reference(m):
     return "".join(lines)
 
 
-def test_csv_blocks_match_row_by_row_reference(tmp_path):
-    # several full blocks and a partial last one
-    k_max = 3 * 2**14 + 7
-    rng = np.random.default_rng(3)
+# one block, one row past it, two full blocks, several and a partial last one
+_BLOCK_CASES = (_CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS, 3 * _CSV_BLOCK_ROWS + 7)
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _random_level(k_max, seed, tail_mass=0.25, p_plus=0.5):
+    rng = np.random.default_rng(seed)
     probs = np.zeros(k_max + 1)
     probs[1:] = rng.random(k_max) * (rng.random(k_max) < 0.7)  # exact zeros
-    probs *= 0.75 / probs.sum()
-    cases = [
-        MassFunction(probs=probs, tail_mass=0.25, level=20, p_plus=0.5),
+    probs *= (1.0 - tail_mass) / probs.sum()
+    return MassFunction(probs=probs, tail_mass=tail_mass, level=20, p_plus=p_plus)
+
+
+@pytest.fixture
+def process_pools(monkeypatch):
+    """The worker count of each process pool the writers open, in order,
+    and the number of blocks submitted to them."""
+    log = SimpleNamespace(opened=[], submitted=0)
+
+    class Counted(process.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            log.opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            log.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
+    return log
+
+
+def _check_both_paths(monkeypatch, pools, tmp_path, writer, m, want):
+    """``writer(m, ...)`` gives ``want`` to a buffer and to a path, both on the
+    forked path (two usable CPUs) and on the serial one, and leaves no child."""
+    blocks = -(-m.k_max // _CSV_BLOCK_ROWS)
+    for cpus in (2, 1):
+        monkeypatch.setattr(distribution, "_usable_cpus", lambda cpus=cpus: cpus)
+        pools.opened.clear()
+        buf = io.StringIO()
+        writer(m, buf)
+        assert buf.getvalue() == want
+        assert multiprocessing.active_children() == []
+        path = tmp_path / "out"
+        writer(m, str(path))
+        assert path.read_bytes() == want.encode()
+        assert multiprocessing.active_children() == []
+        forked = cpus > 1 and blocks > 1 and _CAN_FORK
+        assert pools.opened == ([2, 2] if forked else [])
+
+
+def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_pools):
+    cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES]
+    k_max = _BLOCK_CASES[-1]
+    cases += [
         evolve(20, 0.5, TruncationPolicy(k_max=k_max)),
         evolve(20, 0.5, TruncationPolicy(k_max=k_max, tail_mode="drop")),
     ]
-    assert cases[1].tail_mass > 0.0 and cases[2].tail_mass == 0.0
+    assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:
         want = _csv_reference(m)
-        buf = io.StringIO()
-        write_distribution_csv(m, buf)
-        assert buf.getvalue() == want
-        path = tmp_path / "d.csv"
-        write_distribution_csv(m, str(path))
-        assert path.read_bytes() == want.encode()
+        _check_both_paths(monkeypatch, process_pools, tmp_path, write_distribution_csv, m, want)
+
+
+class _FailingTarget(io.StringIO):
+    """A text target whose third ``write`` raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls == 3:
+            raise OSError("no space left")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("writer", [write_distribution_csv, write_distribution_json])
+def test_writer_error_propagates_and_leaves_no_process(monkeypatch, process_pools, writer):
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    target = _FailingTarget()
+    with pytest.raises(OSError, match="no space left"):
+        writer(_random_level(_BLOCK_CASES[-1], 4), target)
+    assert target.calls == 3
+    assert process_pools.opened == ([2] if _CAN_FORK else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
+def test_forked_writer_keeps_two_blocks_per_worker_in_flight(monkeypatch, process_pools):
+    # a slow target must not let the workers' text pile up in the writer
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    submitted_at_write = []
+
+    class Watching(io.StringIO):
+        def write(self, text):
+            submitted_at_write.append(process_pools.submitted)
+            return super().write(text)
+
+    m = _random_level(8 * _CSV_BLOCK_ROWS, 7)
+    target = Watching()
+    write_distribution_csv(m, target)
+    assert target.getvalue() == _csv_reference(m)
+    # the header, then block i once blocks up to i + 3 (four in flight) went out
+    assert submitted_at_write == [0] + [min(i + 3, 8) for i in range(1, 9)]
+
+
+def test_writers_fork_nothing_beside_another_thread(monkeypatch, process_pools):
+    # forking a process that runs threads is unsafe, so the writers stay serial
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    m = _random_level(_BLOCK_CASES[-1], 6)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60.0,))
+    other.start()
+    try:
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_distribution_csv(m, csv_buf)
+        write_distribution_json(m, json_buf)
+    finally:
+        release.set()
+        other.join(timeout=60.0)
+    assert not other.is_alive()
+    assert process_pools.opened == []
+    assert csv_buf.getvalue() == _csv_reference(m)
+    assert json_buf.getvalue() == json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
 
 
 def test_csv_writer_memory_bounded_by_block(tmp_path):
@@ -451,27 +561,17 @@ def test_evolve_memory_per_cap_entry():
     assert peak <= 80 * cap
 
 
-def test_json_blocks_match_json_dumps(tmp_path):
-    # several full blocks and a partial last one, and one short level
-    k_max = 3 * _CSV_BLOCK_ROWS + 7
-    rng = np.random.default_rng(5)
-    probs = np.zeros(k_max + 1)
-    probs[1:] = rng.random(k_max) * (rng.random(k_max) < 0.7)
-    probs *= 0.75 / probs.sum()
-    cases = [
-        MassFunction(probs=probs, tail_mass=0.25, level=20, p_plus=0.5),
-        MassFunction(probs=probs / 0.75, tail_mass=0, level=20, p_plus=1),  # int fields
+def test_json_blocks_match_json_dumps(tmp_path, monkeypatch, process_pools):
+    k_max = _BLOCK_CASES[-1]
+    cases = [_random_level(k, 5) for k in _BLOCK_CASES]
+    cases += [
+        _random_level(k_max, 5, tail_mass=0, p_plus=1),  # int fields
         evolve(20, 0.3, TruncationPolicy(k_max=k_max)),
         evolve(6, 0.5, TruncationPolicy(k_max=16)),
     ]
     for m in cases:
         want = json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
-        buf = io.StringIO()
-        write_distribution_json(m, buf)
-        assert buf.getvalue() == want
-        path = tmp_path / "d.json"
-        write_distribution_json(m, str(path))
-        assert path.read_bytes() == want.encode()
+        _check_both_paths(monkeypatch, process_pools, tmp_path, write_distribution_json, m, want)
 
 
 def test_json_writer_memory_bounded_by_block(tmp_path):

@@ -215,6 +215,22 @@ def test_compare_pvalue_matches_chi2_sf():
     assert rep.chi2_pvalue == pytest.approx(chi2.sf(rep.chi2_stat, rep.chi2_dof), rel=1e-12)
 
 
+def test_chi2_upper_tail_matches_chdtrc():
+    from scipy.special import chdtrc
+
+    for dof in range(1, 201):
+        # from 0 through the bulk to a tail between 1e-123 and 1e-197
+        far = dof + 40.0 * math.sqrt(2.0 * dof) + 500.0
+        stats = np.concatenate([[0.0, 1e-12, 1e-3], np.geomspace(1e-2, far, 80)])
+        want = chdtrc(dof, stats)
+        got = np.array([simulate._chi2_upper_tail(dof, float(x)) for x in stats])
+        assert want.min() > 1e-200
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"dof {dof}")
+    # e^-h alone underflows here; the sum relative to its largest term does not
+    for dof, x in ((20001, 20000.0), (50000, 52000.0), (3, 1e4)):
+        assert simulate._chi2_upper_tail(dof, x) == pytest.approx(chdtrc(dof, x), rel=1e-9)
+
+
 def test_compare_rejects_mismatched_depth():
     exact = evolve(4, 0.5, TruncationPolicy(k_max=8))
     summary = run(SimConfig(depth=3, p_plus=0.5, n_samples=100, seed=1))
