@@ -29,6 +29,7 @@ import numpy as np
 from .distribution import (
     CRITICAL_C,
     DIRECT_CONV_MAX,
+    KMAX_LIMIT,
     SurvivalCurve,
     _MONO_SLACK,
     _RhsPlan,
@@ -114,8 +115,8 @@ class UpperModel:
     n0: int = 0
 
     def __post_init__(self) -> None:
-        if self.C <= 0.0 or self.beta <= 0.0:
-            raise ValueError("C and beta must be positive")
+        if not (0.0 < self.C < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("C and beta must be finite and positive")
         if self.n0 < 0:
             raise ValueError("n0 must be >= 0")
 
@@ -210,8 +211,8 @@ class LowerStepModel:
         object.__setattr__(self, "steps", tuple((int(t), float(c)) for t, c in self.steps))
         if self.K < 2:
             raise ValueError("K must be >= 2")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be finite and positive")
         if b.size < self.K:
             raise ValueError("b must cover k = 1..K-1 (1-indexed padded)")
         if b[1] != 0.0:
@@ -223,8 +224,8 @@ class LowerStepModel:
         for threshold, c_r in self.steps:
             if threshold <= prev:
                 raise ValueError("step thresholds must ascend above K")
-            if c_r <= 0.0:
-                raise ValueError("step constants must be positive")
+            if not 0.0 < c_r < math.inf:
+                raise ValueError("step constants must be finite and positive")
             prev = threshold
 
     @property
@@ -294,7 +295,7 @@ def lower_model_validity(m: LowerStepModel, N: int, k_max: int) -> Optional[Tupl
 def _first_invalid(q: np.ndarray) -> Optional[Tuple[int, float]]:
     """First k with q[k] outside [0, 1] or above q[k-1], as (k, q[k]), or None."""
     body = q[1:]
-    bad = body < -_MONO_SLACK
+    bad = ~(body >= -_MONO_SLACK)  # negated, so that NaN is invalid too
     bad |= body > 1.0 + _MONO_SLACK
     # a step up beyond the slack needs body[i + 1] > body[i], which is rare
     rise = np.flatnonzero(body[1:] > body[:-1]) + 1
@@ -313,8 +314,9 @@ def _first_invalid(q: np.ndarray) -> Optional[Tuple[int, float]]:
 class CertificateReport:
     """Residuals of a one-level recurrence inequality over an (N, k) grid.
 
-    ``min_margin`` is the smallest residual; the inequality holds on the
-    grid iff it is nonnegative, in which case ``first_violation`` is None.
+    ``min_margin`` is the smallest residual, NaN if any residual is NaN;
+    the inequality holds on the grid iff it is nonnegative, in which case
+    ``first_violation`` is None.  A NaN residual counts as a violation.
     """
 
     checked_n: Tuple[int, int]
@@ -415,11 +417,11 @@ def _certify(
                 np.negative(col, out=col)
             if grid is not None:
                 grid[N - n_lo] = col
-            m = float(col.min())
-            if m < min_margin:
+            m = float(col.min())  # NaN if any residual is
+            if m < min_margin or math.isnan(m):
                 min_margin = m
-            if not m >= 0.0:  # a NaN minimum hides nothing either
-                bad = np.flatnonzero(col < 0.0)
+            if not m >= 0.0:
+                bad = np.flatnonzero(~(col >= 0.0))  # a NaN residual is a violation
                 n_violations += bad.size
                 if bad.size and first_violation is None:
                     first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
@@ -448,11 +450,17 @@ def _certify(
     )
 
 
-def _grid_ranges(n_range: RangeLike, k_range: RangeLike) -> Tuple[Tuple[int, int], ...]:
+def _grid_ranges(n_range: RangeLike, k_range: RangeLike, keep_grid: bool) -> tuple:
+    """The normalized ranges; k_hi and a kept grid's cell count must not exceed ``KMAX_LIMIT``."""
     n_lo, n_hi = _norm_range(n_range)
     k_lo, k_hi = _norm_range(k_range)
     if n_lo < 1 or k_lo < 1:
         raise ValueError("ranges must start at 1 or above")
+    if k_hi > KMAX_LIMIT:
+        raise ValueError(f"k_hi = {k_hi} is above the limit of {KMAX_LIMIT}")
+    cells = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
+    if keep_grid and cells > KMAX_LIMIT:
+        raise ValueError(f"a grid of {cells} cells is above the limit of {KMAX_LIMIT}")
     return (n_lo, n_hi), (k_lo, k_hi)
 
 
@@ -472,7 +480,7 @@ def certify_upper(
     coefficient, which the analysis guarantees positive above the critical
     constant but never exhibits.
     """
-    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range)
+    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range, keep_grid)
     logk, logk_sq = _log_tables(k_hi)
     ratios = np.empty(k_hi + 1)
 
@@ -506,7 +514,7 @@ def certify_lower(
     """Residuals of the minorization inequality (the domination inequality
     reversed), plus a validity check that the model array is a survival
     curve (in [0, 1] and nonincreasing) at each scanned level."""
-    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range)
+    n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range, keep_grid)
     logk, logk_sq = _log_tables(k_hi)
     bands = _lower_bands(m, k_hi)
     return _certify(

@@ -18,6 +18,7 @@ from . import bounds, regimes, series, simulate
 from .distribution import (
     CRITICAL_C,
     TruncationPolicy,
+    _write_text,
     evolve,
     write_distribution_csv,
     write_distribution_json,
@@ -69,15 +70,6 @@ def _step_band(text: str) -> tuple:
 def _target(output: Optional[str]):
     """Where ``--output`` points: standard output for none or ``-``, else the path."""
     return sys.stdout if output is None or output == "-" else output
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    target = _target(output)
-    if target is sys.stdout:
-        target.write(text)
-    else:
-        with open(target, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _summary(line: str) -> None:
@@ -144,12 +136,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n_range = args.N_range
     k_range = args.k_range
     if args.model == "upper":
-        model = bounds.UpperModel(C=args.C, beta=args.beta, n0=args.n0)
+        model = bounds.UpperModel(C=args.C, beta=args.beta)
         report = bounds.certify_upper(model, n_range, k_range, keep_grid=args.emit_grid)
     else:
         model = _build_lower_model(args)
         report = bounds.certify_lower(model, n_range, k_range, keep_grid=args.emit_grid)
-    _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.output)
+    _write_text(_target(args.output), json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     _summary(
         f"bounds: model={args.model} N={n_range} k={k_range} "
         f"min_margin={report.min_margin:.6e} violations={report.n_violations}"
@@ -167,20 +159,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
         f"{result.relation} bound {result.bound:.6f}  {verdict}\n"
     )
     if args.output and args.output != "-":
-        _emit(
-            json.dumps(
-                {
-                    "name": result.name,
-                    "k": result.k,
-                    "value": result.value,
-                    "bound": result.bound,
-                    "satisfied": result.satisfied,
-                },
-                sort_keys=True,
-            )
-            + "\n",
-            args.output,
-        )
+        payload = {f: getattr(result, f) for f in ("name", "k", "value", "bound", "satisfied")}
+        _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
     sys.stdout.write(line)
     return 0
 
@@ -200,7 +180,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     lines = ["t,empirical,limit\n"]
     for i in idx:
         lines.append(f"{float(t[i])!r},{float(cdf[i])!r},{float(series.limit_cdf(t[i]))!r}\n")
-    _emit("".join(lines), args.output)
+    _write_text(_target(args.output), "".join(lines))
     _summary(
         f"limit: N={args.N} k_max={m.k_max} ks_distance={diag.ks_distance:.6f} "
         f"mean_scaled={diag.mean_scaled:.6f} target={diag.target_mean:.6f}"
@@ -210,7 +190,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 def _cmd_regimes(args: argparse.Namespace) -> int:
     report = regimes.classify(args.p, k_max=args.k_max, tol=args.tol, n_max=args.N_max)
-    _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.output)
+    _write_text(_target(args.output), json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     _summary(f"regimes: p={args.p} classification={report.classification}")
     return 0
 
@@ -256,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--C", type=float, default=1.1 * CRITICAL_C,
                           help="upper-model constant (default 1.1x critical)")
     p_bounds.add_argument("--beta", type=float, default=2.0)
-    p_bounds.add_argument("--n0", type=int, default=0)
     p_bounds.add_argument("--c", type=float, default=1.0,
                           help="lower-model constant (default 1.0)")
     p_bounds.add_argument("--K", type=_positive_int, default=12000,

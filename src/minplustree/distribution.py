@@ -22,7 +22,7 @@ from collections import deque
 from concurrent.futures import Executor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -483,7 +483,7 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     """CSV with one row per mass value: columns k, pmf, survival.
 
     Rows reach ``out`` in blocks of ``_CSV_BLOCK_ROWS``, formatted by forked
-    worker processes or by this one as :func:`_rendered_blocks` decides, with
+    worker processes or by this one as :func:`_ordered_map` decides, with
     the same bytes either way.  The writer holds the survival column and at
     most two blocks of text per worker, never the whole table.
     """
@@ -491,7 +491,7 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_rendered_blocks(_csv_rows, m.k_max + 1, m.probs, surv)) as blocks:
+        with closing(_ordered_map(_csv_rows, *_blocks(m.k_max + 1, m.probs, surv))) as blocks:
             for text in blocks:
                 fh.write(text)
 
@@ -507,7 +507,7 @@ def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     with _text_target(out) as fh:
         fh.write(head[:-1] + ', "probs": [')
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_rendered_blocks(_json_values, m.k_max + 1, m.probs)) as blocks:
+        with closing(_ordered_map(_json_values, *_blocks(m.k_max + 1, m.probs))) as blocks:
             for text in blocks:
                 fh.write(text)
         fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
@@ -525,25 +525,28 @@ def _json_values(lo: int, probs: np.ndarray) -> str:
     return values if lo == 1 else ", " + values
 
 
-def _rendered_blocks(render: Callable[..., str], end: int, *columns: np.ndarray) -> Iterator[str]:
-    """``render(lo, *(c[lo:hi] for c in columns))`` for each block of
-    ``_CSV_BLOCK_ROWS`` rows of [1, end), in order.
+def _blocks(end: int, *columns: np.ndarray) -> list:
+    """The starts of the ``_CSV_BLOCK_ROWS``-row blocks of [1, end), then each column's slices."""
+    starts = range(1, end, _CSV_BLOCK_ROWS)
+    return [starts] + [[c[lo : lo + _CSV_BLOCK_ROWS] for lo in starts] for c in columns]
 
-    ``float.__repr__`` holds the interpreter lock, so formatting a large
-    level keeps one CPU busy while the others idle.  When the level spans two
-    blocks or more, more than one CPU is usable, the platform can fork, and
-    no other thread runs (forking a threaded process is unsafe), the blocks
-    go to a pool of forked processes, one per usable CPU, with at most two
-    blocks per worker in flight.  The workers get the column slices and
-    return text; they never see the target.  Otherwise this process renders
-    each block in turn.  Either way the text is the same.
+
+def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
+    """``map(fn, *iterables)``, on forked worker processes where that is safe.
+
+    ``float.__repr__`` and numpy's small calls hold the interpreter lock, so
+    threads leave CPUs idle.  When there are two calls or more, more than one
+    CPU is usable, the platform can fork, and no other thread runs (forking
+    a threaded process is unsafe), the calls go to a pool of forked
+    processes, one per usable CPU up to one per call, with at most two calls
+    per worker in flight, and the results come back in call order.
+    Otherwise this process makes each call in turn.
 
     Close the generator when stopping early, so that the pool is shut down
     and its workers joined.
     """
-    starts = range(1, end, _CSV_BLOCK_ROWS)
-    slices = [[c[lo : lo + _CSV_BLOCK_ROWS] for lo in starts] for c in columns]
-    workers = min(_usable_cpus(), len(starts))
+    calls = list(zip(*iterables))
+    workers = min(_usable_cpus(), len(calls))
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
@@ -552,14 +555,14 @@ def _rendered_blocks(render: Callable[..., str], end: int, *columns: np.ndarray)
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
                 pending: deque = deque()
-                for args in zip(starts, *slices):
+                for args in calls:
                     if len(pending) == 2 * workers:
                         yield pending.popleft().result()
-                    pending.append(pool.submit(render, *args))
+                    pending.append(pool.submit(fn, *args))
                 while pending:
                     yield pending.popleft().result()
             return
-    yield from map(render, starts, *slices)
+    yield from (fn(*args) for args in calls)
 
 
 def mass_function_from_json(d: dict) -> MassFunction:

@@ -128,6 +128,7 @@ def supercritical_growth(p: float, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     policy = TruncationPolicy()
+    policy.cap_for(n_max)  # the largest level's cap, refused before the first step
     means = np.full(n_max + 1, math.nan)
     m = point_mass_initial(p, k_max=2)
     means[1] = moments(m).mean_x

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, MassFunction, moments
+from .distribution import CRITICAL_C, KMAX_LIMIT, MassFunction, moments
 
 PI2_OVER_6 = math.pi**2 / 6
 LIMIT_MEAN = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -36,10 +36,15 @@ def _log_ratio_sum(j: np.ndarray, k: int) -> float:
     return float(np.sum(t))
 
 
+def _check_k(k: int, lo: int) -> None:
+    """Refuse k outside [lo, KMAX_LIMIT] before any array of k terms exists."""
+    if not lo <= k <= KMAX_LIMIT:
+        raise ValueError(f"k must lie in [{lo}, {KMAX_LIMIT}], got {k}")
+
+
 def h(k: int) -> float:
     """h(k) = sum_{l=1}^{k-1} (1/l) * log(k / (k - l)); bounded by pi^2/6."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k, 1)
     if k == 1:
         return 0.0
     return _log_ratio_sum(np.arange(1, k, dtype=float), k)
@@ -47,8 +52,7 @@ def h(k: int) -> float:
 
 def B(k: int) -> float:
     """B(k) = sum_{j=1}^{k-1} (1/j) * log(1 - j/k)^2; uniformly below 12."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_k(k, 2)
     j = np.arange(1, k, dtype=float)
     # np.sum(np.log1p(-j / k) ** 2 / j), each step in place
     t = np.negative(j)
@@ -67,8 +71,7 @@ def M(A: int, k: int) -> float:
     """
     if A < 1:
         raise ValueError("A must be >= 1")
-    if k < A:
-        raise ValueError("k must be >= A")
+    _check_k(k, A)
     start = k // A
     if start >= k:
         return 0.0
@@ -79,8 +82,7 @@ def S_alpha(k: int, alpha: float) -> float:
     """S(k) = sum_{l=1}^{k-1} (l^-a - (l+1)^-a) * ((k-l)^-a - k^-a) for a = alpha."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 1/2)")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_k(k, 2)
     ell = np.arange(1, k, dtype=float)
     # left = ell**-a - (ell + 1)**-a and right = (k - ell)**-a - k**-a, in
     # place: ell itself becomes ell**-a once right no longer needs it

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, MassFunction, _usable_cpus, _write_text
+from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # leaf block of one level-synchronous pass
@@ -228,22 +227,18 @@ def run(cfg: SimConfig) -> EmpiricalSummary:
 
     Worker ``w`` draws from an independent Philox substream spawned from
     (seed, w), and worker shares are fixed by index, so the merged counts
-    depend only on (seed, workers), never on scheduling.  The thread pool
-    holds at most one thread per usable CPU; extra workers queue on it.
+    depend only on (seed, workers), never on scheduling.  The workers run
+    through :func:`distribution._ordered_map`: on forked processes, at most
+    one per usable CPU, when the platform can fork and no other thread runs,
+    and in turn on this process otherwise.  Their counts are merged in
+    worker order.
     """
     base = cfg.n_samples // cfg.workers
     shares = [base + (1 if w < cfg.n_samples % cfg.workers else 0) for w in range(cfg.workers)]
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
 
-    if cfg.workers == 1:
-        per_worker = [_worker_counts(cfg, shares[0], seqs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(cfg.workers, _usable_cpus())) as pool:
-            futures = [pool.submit(_worker_counts, cfg, shares[w], seqs[w]) for w in range(cfg.workers)]
-            per_worker = [f.result() for f in futures]
-
     counts: Dict[int, int] = {}
-    for part in per_worker:
+    for part in _ordered_map(_worker_counts, [cfg] * cfg.workers, shares, seqs):
         for v, c in part.items():
             counts[v] = counts.get(v, 0) + c
 

@@ -1,6 +1,8 @@
 """Fixtures shared across test modules."""
 
 import time
+from concurrent.futures import process
+from types import SimpleNamespace
 from typing import Dict, NamedTuple
 
 import pytest
@@ -31,3 +33,22 @@ def critical_chain() -> CriticalChain:
         if level == 60:
             seconds_to_60 = time.perf_counter() - t0
     return CriticalChain(out, seconds_to_60)
+
+
+@pytest.fixture
+def process_pools(monkeypatch):
+    """The worker count of each process pool that ``distribution._ordered_map``
+    opens, in order, and the number of calls submitted to them."""
+    log = SimpleNamespace(opened=[], submitted=0)
+
+    class Counted(process.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            log.opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            log.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
+    return log

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,6 +30,7 @@ from minplustree.bounds import (
 from minplustree.distribution import (
     CRITICAL_C,
     DIRECT_CONV_MAX,
+    KMAX_LIMIT,
     TruncationPolicy,
     _cross_term,
     evolve,
@@ -213,6 +215,19 @@ def test_upper_model_validation():
         UpperModel(C=4.0, beta=0.0)
     assert UpperModel(C=1.1 * CRITICAL_C, beta=2.0).in_guaranteed_regime
     assert not UpperModel(C=0.5 * CRITICAL_C, beta=2.0).in_guaranteed_regime
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_models_refuse_non_finite_constants(bad):
+    # NaN passes a "<= 0" test, and would scan to a report with no violations
+    for make in (
+        lambda: UpperModel(C=bad, beta=2.0),
+        lambda: UpperModel(C=4.0, beta=bad),
+        lambda: LowerStepModel(b=np.zeros(2), K=2, c=bad),
+        lambda: LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, bad),)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +598,41 @@ def test_lower_model_validity_matches_difference_reference():
         q = np.concatenate(([1.0], np.sort(rng.random(30))[::-1]))
         q[rng.integers(1, 31, size=2)] += rng.choice([-2.0, 1e-12, 3e-12, 0.5])
         assert _first_invalid(q) == _validity_reference(q)
+
+
+def test_first_invalid_flags_nan():
+    q = np.array([1.0, 1.0, 0.5, math.nan, 0.2])
+    k, value = _first_invalid(q)
+    assert k == 3 and math.isnan(value)
+
+
+def test_certify_counts_nan_residuals_as_violations():
+    m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
+
+    def fill(N, out):
+        out[:] = upper_model_values(m, N, out.size - 1)
+        if N == 1002:
+            out[7] = math.nan
+
+    rep = bounds._certify(fill, (1000, 1004), (1, 50), direction=+1, keep_grid=True)
+    assert math.isnan(rep.min_margin) and not rep.passed
+    # the NaN reaches slot 7 of column 1001 (through q_{N+1}) and slots 7..50
+    # of column 1002 (through the convolution); the clean scan passes
+    assert rep.first_violation[:2] == (1001, 7) and math.isnan(rep.first_violation[2])
+    assert rep.n_violations == 1 + 44 == int(np.isnan(rep.residuals).sum())
+    assert bounds.certify_upper(m, (1000, 1004), (1, 50)).n_violations == 0
+
+
+def test_scan_size_refused_before_allocation():
+    m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
+        certify_upper(m, (10, 11), (1, KMAX_LIMIT + 1))
+    # 5 levels of 13421773 slots: a kept grid of KMAX_LIMIT + 1 cells
+    assert 5 * 13_421_773 == KMAX_LIMIT + 1
+    with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
+        certify_lower(make_log_splice(12000, 1.0), (1, 5), (1, 13_421_773), keep_grid=True)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_certify_lower_invalid_mid_scan():

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from minplustree.cli import main
+from minplustree.distribution import KMAX_LIMIT
 from minplustree.regimes import LIMIT_K_MAX
 from minplustree.series import evaluate
 
@@ -195,6 +196,39 @@ def test_bounds_emit_grid(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["grid_shape"] == [3, 20]
     assert len(doc["residuals"]) == 3
+
+
+def test_bounds_has_no_n0_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--model", "upper", "--N-range", "100:105", "--k-range", "1:30",
+              "--n0", "7"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--model", "upper", "--C", "nan"],
+    ["--model", "upper", "--beta", "nan"],
+    ["--model", "lower", "--c", "nan"],
+    ["--model", "lower", "--K", "50", "--step", "100:nan"],
+])
+def test_bounds_non_finite_constant_is_an_error(tmp_path, capsys, extra):
+    out = tmp_path / "b.json"
+    rc = main(["bounds", *extra, "--N-range", "100:105", "--k-range", "1:30", "--strict",
+               "--output", str(out)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--fn", "h", "--k", str(KMAX_LIMIT + 1)],
+    ["bounds", "--model", "upper", "--N-range", "10:11", "--k-range", str(KMAX_LIMIT + 1)],
+])
+def test_oversized_k_fails_fast(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert str(KMAX_LIMIT) in capsys.readouterr().err
 
 
 def test_limit_csv_schema(tmp_path):

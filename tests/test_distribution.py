@@ -6,9 +6,7 @@ import multiprocessing
 import threading
 import time
 import tracemalloc
-from concurrent.futures import process
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -421,25 +419,6 @@ def _random_level(k_max, seed, tail_mass=0.25, p_plus=0.5):
     probs[1:] = rng.random(k_max) * (rng.random(k_max) < 0.7)  # exact zeros
     probs *= (1.0 - tail_mass) / probs.sum()
     return MassFunction(probs=probs, tail_mass=tail_mass, level=20, p_plus=p_plus)
-
-
-@pytest.fixture
-def process_pools(monkeypatch):
-    """The worker count of each process pool the writers open, in order,
-    and the number of blocks submitted to them."""
-    log = SimpleNamespace(opened=[], submitted=0)
-
-    class Counted(process.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            log.opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            log.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
-    return log
 
 
 def _check_both_paths(monkeypatch, pools, tmp_path, writer, m, want):

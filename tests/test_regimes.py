@@ -153,6 +153,14 @@ def test_supercritical_domain():
         supercritical_growth(0.3, 5)
 
 
+def test_supercritical_oversized_level_refused_before_first_step():
+    # level 28 of the full support has 2^27 entries; level 27 must not be built first
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="level 28"):
+        supercritical_growth(0.6, 28)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_classify_all_regimes():
     sub = classify(0.4, k_max=16)
     assert sub.classification == "subcritical"

@@ -1,10 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from minplustree.distribution import TruncationPolicy, evolve
+from minplustree.distribution import KMAX_LIMIT, TruncationPolicy, evolve
 from minplustree.series import (
     LIMIT_MEAN,
     PI2_OVER_6,
@@ -97,6 +98,16 @@ def test_S_alpha_domain():
         S_alpha(10, 0.7)
     with pytest.raises(ValueError):
         S_alpha(1, 0.1)
+
+
+def test_series_k_above_limit_refused_before_allocation():
+    t0 = time.perf_counter()
+    k = KMAX_LIMIT + 1
+    for call in (lambda: h(k), lambda: B(k), lambda: M(8, k), lambda: S_alpha(k, 0.1),
+                 lambda: evaluate("h", k)):
+        with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
+            call()
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_series_nonnegative():

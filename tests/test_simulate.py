@@ -1,14 +1,14 @@
 import math
-import os
+import multiprocessing
+import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from minplustree import simulate
+from minplustree import distribution, simulate
 from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.simulate import (
     EmpiricalSummary,
@@ -19,6 +19,8 @@ from minplustree.simulate import (
 )
 
 from enum_oracle import enumerate_pmf
+
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _rng(seed=0):
@@ -147,22 +149,35 @@ def test_run_memory_bounded_by_block():
     assert peak < 1.5 * simulate._BLOCK_BYTES
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
-def test_thread_pool_bounded_by_cpus(monkeypatch):
-    seen = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-            super().__init__(max_workers=min(max_workers, 2))
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+def test_worker_pool_bounded_by_cpus(monkeypatch, process_pools):
+    # 64 substreams share one pool of at most one forked process per usable CPU
     cfg = SimConfig(depth=3, p_plus=0.5, n_samples=200, seed=5, workers=64)
-    summary = run(cfg)
-    assert seen == [min(64, len(os.sched_getaffinity(0)))]
+    summaries = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(distribution, "_usable_cpus", lambda cpus=cpus: cpus)
+        process_pools.opened.clear()
+        summaries.append(run(cfg))
+        assert process_pools.opened == ([2] if cpus == 2 and _CAN_FORK else [])
+        assert multiprocessing.active_children() == []
     # substreams and shares follow the worker index, not the pool size
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", lambda max_workers: ThreadPoolExecutor(1))
-    assert run(cfg) == summary
+    assert summaries[0] == summaries[1]
+
+
+def test_sampler_forks_nothing_beside_another_thread(monkeypatch, process_pools):
+    # forking a process that runs threads is unsafe, so the sampler stays serial
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    cfg = SimConfig(depth=5, p_plus=0.5, n_samples=1000, seed=9, workers=4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60.0,))
+    other.start()
+    try:
+        beside = run(cfg)
+    finally:
+        release.set()
+        other.join(timeout=60.0)
+    assert not other.is_alive()
+    assert process_pools.opened == []
+    assert beside == run(cfg)
 
 
 def test_scaled_quantiles_ordering():
