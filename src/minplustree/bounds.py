@@ -33,9 +33,12 @@ from .distribution import (
     SurvivalCurve,
     _MONO_SLACK,
     _RhsPlan,
+    _check_level_work,
     _usable_cpus,
     recurrence_rhs,
 )
+
+_SANDWICH_TOL = 1e-12  # float slack when comparing the exact curve with the models
 
 RangeLike = Union[int, Tuple[int, int]]
 FloatOrArray = Union[float, np.ndarray]
@@ -112,13 +115,10 @@ class UpperModel:
 
     C: float
     beta: float
-    n0: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.C < math.inf and 0.0 < self.beta < math.inf):
             raise ValueError("C and beta must be finite and positive")
-        if self.n0 < 0:
-            raise ValueError("n0 must be >= 0")
 
     @property
     def in_guaranteed_regime(self) -> bool:
@@ -451,13 +451,15 @@ def _certify(
 
 
 def _grid_ranges(n_range: RangeLike, k_range: RangeLike, keep_grid: bool) -> tuple:
-    """The normalized ranges; k_hi and a kept grid's cell count must not exceed ``KMAX_LIMIT``."""
+    """The normalized ranges; k_hi and a kept grid's cell count must not exceed
+    ``KMAX_LIMIT``, and the scan's levels of k_hi entries not ``_MAX_LEVEL_WORK``."""
     n_lo, n_hi = _norm_range(n_range)
     k_lo, k_hi = _norm_range(k_range)
     if n_lo < 1 or k_lo < 1:
         raise ValueError("ranges must start at 1 or above")
     if k_hi > KMAX_LIMIT:
         raise ValueError(f"k_hi = {k_hi} is above the limit of {KMAX_LIMIT}")
+    _check_level_work(n_hi - n_lo + 1, k_hi)
     cells = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
     if keep_grid and cells > KMAX_LIMIT:
         raise ValueError(f"a grid of {cells} cells is above the limit of {KMAX_LIMIT}")
@@ -546,46 +548,28 @@ class SandwichReport:
     def passed(self) -> bool:
         return self.upper_violations == 0 and self.lower_violations == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "upper_shift": self.upper_shift,
-            "lower_shift": self.lower_shift,
-            "checked_k": self.checked_k,
-            "upper_violations": self.upper_violations,
-            "lower_violations": self.lower_violations,
-            "first_upper_violation": (
-                list(self.first_upper_violation) if self.first_upper_violation else None
-            ),
-            "first_lower_violation": (
-                list(self.first_lower_violation) if self.first_lower_violation else None
-            ),
-        }
-
 
 def sandwich_check(
     N: int,
     upper: UpperModel,
     lower: LowerStepModel,
     exact: SurvivalCurve,
-    upper_shift: Optional[int] = None,
+    upper_shift: int = 0,
     lower_shift: int = 0,
-    tol: float = 1e-12,
 ) -> SandwichReport:
     """Check lower(N - lower_shift, k) <= exact <= upper(N + upper_shift, k)
-    for every k on the exact curve's support."""
+    for every k on the exact curve's support, up to ``_SANDWICH_TOL``."""
     if exact.level != N:
         raise ValueError(f"exact curve is at level {exact.level}, not {N}")
-    shift_up = upper.n0 if upper_shift is None else upper_shift
     if N - lower_shift < 1:
         raise ValueError("lower_shift pushes the level below 1")
     k_hi = exact.k_max
-    up = upper_model_values(upper, N + shift_up, k_hi)
+    up = upper_model_values(upper, N + upper_shift, k_hi)
     lo = lower_model_values(lower, N - lower_shift, k_hi)
     truth = exact.values
 
-    over = np.flatnonzero(truth[1:] > up[1:] + tol)
-    under = np.flatnonzero(truth[1:] < lo[1:] - tol)
+    over = np.flatnonzero(truth[1:] > up[1:] + _SANDWICH_TOL)
+    under = np.flatnonzero(truth[1:] < lo[1:] - _SANDWICH_TOL)
     first_up = None
     if over.size:
         k = int(over[0]) + 1
@@ -596,7 +580,7 @@ def sandwich_check(
         first_lo = (k, float(truth[k]), float(lo[k]))
     return SandwichReport(
         level=N,
-        upper_shift=shift_up,
+        upper_shift=upper_shift,
         lower_shift=lower_shift,
         checked_k=k_hi,
         upper_violations=int(over.size),

@@ -189,7 +189,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_regimes(args: argparse.Namespace) -> int:
-    report = regimes.classify(args.p, k_max=args.k_max, tol=args.tol, n_max=args.N_max)
+    report = regimes.classify(args.p, k_max=args.k_max, tol=args.tol)
     _write_text(_target(args.output), json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     _summary(f"regimes: p={args.p} classification={report.classification}")
     return 0
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"limit-curve prefix length, at most {regimes.LIMIT_K_MAX}")
     p_reg.add_argument("--tol", type=float, default=1e-7,
                        help="bound on the limit curve's balance-equation residual")
-    p_reg.add_argument("--N-max", type=_positive_int, default=20)
     p_reg.add_argument("--output", default=None)
     p_reg.set_defaults(func=_cmd_regimes)
 

@@ -143,12 +143,7 @@ def supercritical_growth(p: float, n_max: int) -> np.ndarray:
     return means
 
 
-def classify(
-    p: float,
-    k_max: int = 64,
-    tol: float = 1e-7,
-    n_max: int = 20,
-) -> RegimeReport:
+def classify(p: float, k_max: int = 64, tol: float = 1e-7) -> RegimeReport:
     """Regime report for a mixture probability: fixed point and limit curve
     below 1/2, growth base above, bare classification at 1/2."""
     if not 0.0 <= p <= 1.0:
@@ -169,5 +164,5 @@ def classify(
             fixed_point_c2=c2,
             limit_survival=curve,
         )
-    supercritical_growth(p, min(n_max, 12))  # growth floor sanity before reporting
+    supercritical_growth(p, 12)  # growth floor sanity over 12 levels before reporting
     return RegimeReport(p_plus=p, classification="supercritical", growth_base=2.0 * p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -179,7 +179,7 @@ class LimitDiagnostics:
     N: int
     ks_distance: float
     mean_scaled: float
-    target_mean: float = LIMIT_MEAN
+    target_mean: ClassVar[float] = LIMIT_MEAN
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ks_distance <= 1.0:

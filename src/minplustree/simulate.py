@@ -19,8 +19,9 @@ undecided: one bit decides each node at p = 1/2, p in {0, 1} draws none,
 and other p take about log2 of the block's node count.  The generator is
 seeded through ``numpy``'s SeedSequence spawning, which makes
 worker substreams provably non-overlapping and runs reproducible across
-platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits is
-refused before anything is allocated.
+platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits, each
+substream's set-up counted as ``_SUBSTREAM_LEAVES`` of them, is refused
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -32,15 +33,17 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Un
 
 import numpy as np
 
+from . import distribution
 from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # leaf block of one level-synchronous pass
-_MAX_LEAF_SAMPLES = 1 << 38         # n * 2^(depth-1): minutes to tens of minutes of one core
+_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: minutes to tens of minutes of a core
+_SUBSTREAM_LEAVES = 1 << 17         # set-up of one substream (40-170 us) in leaf visits (~1 ns)
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _check_request(depth: int, p_plus: float, n_samples: int) -> None:
+def _check_request(depth: int, p_plus: float, n_samples: int, workers: int = 1) -> None:
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
     if not 0.0 <= p_plus <= 1.0:
@@ -48,10 +51,13 @@ def _check_request(depth: int, p_plus: float, n_samples: int) -> None:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     leaves = n_samples * 2 ** (depth - 1)
-    if leaves > _MAX_LEAF_SAMPLES:
+    substreams = min(workers, n_samples)  # the rest draw nothing and are never set up
+    set_up = substreams * _SUBSTREAM_LEAVES
+    if leaves + set_up > _MAX_LEAF_SAMPLES:
         raise ValueError(
-            f"{n_samples} samples at depth {depth} visit {leaves:.3e} leaves, "
-            f"more than the limit of {_MAX_LEAF_SAMPLES:.3e}"
+            f"{n_samples} samples at depth {depth} visit {leaves:.3e} leaves, and setting up "
+            f"{substreams} substreams costs {set_up:.3e} more: more than the limit of "
+            f"{_MAX_LEAF_SAMPLES:.3e}"
         )
 
 
@@ -66,7 +72,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        _check_request(self.depth, self.p_plus, self.n_samples)
+        _check_request(self.depth, self.p_plus, self.n_samples, self.workers)
 
 
 @dataclass(frozen=True)
@@ -210,35 +216,44 @@ class _Sampler:
         return v.copy()
 
 
-def _worker_counts(cfg: SimConfig, share: int, seq: np.random.SeedSequence) -> Dict[int, int]:
-    rows = max(1, min(_block_shape(cfg.depth)[1], share))
-    sampler = _Sampler(cfg.depth, cfg.p_plus, rows, np.random.Philox(seq))
+def _run_counts(cfg: SimConfig, lo: int, hi: int) -> Dict[int, int]:
+    """Merged counts of substreams lo..hi-1, each seeded as it is reached."""
+    base, extra = divmod(cfg.n_samples, cfg.workers)
+    block_rows = _block_shape(cfg.depth)[1]
     counts: Dict[int, int] = {}
-    for start in range(0, share, rows):
-        values = sampler.sample(min(rows, share - start))
-        uniq, cnt = np.unique(values, return_counts=True)
-        for v, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[v] = counts.get(v, 0) + c
+    for w in range(lo, hi):
+        share = base + (w < extra)
+        rows = max(1, min(block_rows, share))
+        # the same stream as SeedSequence(seed).spawn(workers)[w]
+        bitgen = np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(w,)))
+        sampler = _Sampler(cfg.depth, cfg.p_plus, rows, bitgen)
+        for start in range(0, share, rows):
+            values = sampler.sample(min(rows, share - start))
+            uniq, cnt = np.unique(values, return_counts=True)
+            for v, c in zip(uniq.tolist(), cnt.tolist()):
+                counts[v] = counts.get(v, 0) + c
     return counts
 
 
 def run(cfg: SimConfig) -> EmpiricalSummary:
     """Sample ``cfg.n_samples`` root values and summarize them.
 
-    Worker ``w`` draws from an independent Philox substream spawned from
-    (seed, w), and worker shares are fixed by index, so the merged counts
-    depend only on (seed, workers), never on scheduling.  The workers run
-    through :func:`distribution._ordered_map`: on forked processes, at most
-    one per usable CPU, when the platform can fork and no other thread runs,
-    and in turn on this process otherwise.  Their counts are merged in
-    worker order.
+    Substream ``w`` draws from an independent Philox stream spawned from
+    (seed, w), and substream shares are fixed by index, so the merged counts
+    depend only on (seed, workers), never on scheduling.  Substreams past
+    the sample count draw nothing and are skipped; the rest are cut into
+    one contiguous run per usable CPU, and the runs go through
+    :func:`distribution._ordered_map`: on forked processes when more than
+    one CPU is usable, the platform can fork and no other thread runs, and
+    in turn on this process otherwise.  Their counts are merged in run
+    order.
     """
-    base = cfg.n_samples // cfg.workers
-    shares = [base + (1 if w < cfg.n_samples % cfg.workers else 0) for w in range(cfg.workers)]
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
+    active = min(cfg.workers, cfg.n_samples)
+    runs = min(distribution._usable_cpus(), active)
+    edges = [r * active // runs for r in range(runs + 1)]
 
     counts: Dict[int, int] = {}
-    for part in _ordered_map(_worker_counts, [cfg] * cfg.workers, shares, seqs):
+    for part in _ordered_map(_run_counts, [cfg] * runs, edges[:-1], edges[1:]):
         for v, c in part.items():
             counts[v] = counts.get(v, 0) + c
 

@@ -635,6 +635,16 @@ def test_scan_size_refused_before_allocation():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_scan_level_count_refused_before_allocation():
+    m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="1000000000000 levels of 10 entries"):
+        certify_upper(m, (1, 10**12), (1, 10))
+    with pytest.raises(ValueError, match="levels of 20000 entries"):
+        certify_lower(make_log_splice(12000, 1.0), (1, 10**6), (12000, 20000))
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_certify_lower_invalid_mid_scan():
     m = LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5),))
     rep = certify_lower(m, (10, 20), (1, 200))
@@ -695,28 +705,41 @@ def exact_level40():
 
 
 def test_sandwich_generous_shifts(exact_level40):
-    upper = UpperModel(C=1.1 * CRITICAL_C, beta=2.0, n0=60)
+    upper = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
     lower = make_log_splice(12000, 1.0)
-    rep = sandwich_check(40, upper, lower, exact_level40, lower_shift=20)
+    rep = sandwich_check(40, upper, lower, exact_level40, upper_shift=60, lower_shift=20)
+    assert rep.upper_shift == 60 and rep.lower_shift == 20
     assert rep.passed
     assert rep.upper_violations == 0 and rep.lower_violations == 0
 
 
 def test_sandwich_tight_upper_reports_not_raises(exact_level40):
-    upper = UpperModel(C=1.001 * CRITICAL_C, beta=2.0, n0=0)
+    upper = UpperModel(C=1.001 * CRITICAL_C, beta=2.0)
     lower = make_log_splice(12000, 1.0)
     rep = sandwich_check(40, upper, lower, exact_level40, lower_shift=20)
+    assert rep.upper_shift == 0  # the default shift
     assert rep.upper_violations >= 0  # violations are data, never an exception
 
 
 def test_sandwich_zero_region_never_violates(exact_level40):
-    upper = UpperModel(C=1.1 * CRITICAL_C, beta=2.0, n0=60)
+    upper = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
     lower = make_log_splice(100, 1.0)
-    rep = sandwich_check(40, upper, lower, exact_level40, lower_shift=20)
+    rep = sandwich_check(40, upper, lower, exact_level40, upper_shift=60, lower_shift=20)
     vals = lower_model_values(lower, 20, exact_level40.k_max)
     zero_from = np.flatnonzero(vals[1:] == 0.0)
     assert zero_from.size > 0  # the zero branch is exercised
     assert rep.lower_violations == 0
+
+
+def test_sandwich_has_no_n0_tol_or_report_json(exact_level40):
+    with pytest.raises(TypeError):
+        UpperModel(C=4.0, beta=2.0, n0=1)
+    upper = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
+    lower = make_log_splice(100, 1.0)
+    with pytest.raises(TypeError):
+        sandwich_check(40, upper, lower, exact_level40, lower_shift=20, tol=1e-12)
+    rep = sandwich_check(40, upper, lower, exact_level40, lower_shift=20)
+    assert not hasattr(rep, "to_json_dict")
 
 
 def test_sandwich_level_mismatch(exact_level40):

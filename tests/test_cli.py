@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,10 +7,33 @@ import time
 
 import pytest
 
-from minplustree.cli import main
+from minplustree.cli import build_parser, main
 from minplustree.distribution import KMAX_LIMIT
 from minplustree.regimes import LIMIT_K_MAX
 from minplustree.series import evaluate
+
+
+# Every subcommand's option strings. Adding or removing a flag is an edit here.
+OPTION_TABLE = {
+    "evolve": ["--N", "--p", "--kmax", "--tail-mode", "--tail-budget", "--format", "--output"],
+    "sample": ["--depth", "--p", "--samples", "--seed", "--workers", "--format", "--output"],
+    "bounds": ["--model", "--C", "--beta", "--c", "--K", "--step", "--N-range", "--k-range",
+               "--emit-grid", "--strict", "--output"],
+    "series": ["--fn", "--k", "--alpha", "--A", "--output"],
+    "limit": ["--N", "--kmax", "--max-rows", "--output"],
+    "regimes": ["--p", "--k-max", "--tol", "--output"],
+}
+
+
+def test_option_table_is_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [opt for a in parser._actions for opt in a.option_strings
+               if opt not in ("-h", "--help")]
+        for name, parser in sub.choices.items()
+    }
+    assert got == OPTION_TABLE
 
 
 def test_usage_error_on_bad_probability(capsys):
@@ -231,6 +255,19 @@ def test_oversized_k_fails_fast(capsys, argv):
     assert str(KMAX_LIMIT) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--model", "upper", "--N-range", "1:1000000000000", "--k-range", "10"],
+    ["evolve", "--N", "1000000000", "--kmax", "100"],
+    ["limit", "--N", "1000000000", "--kmax", "100"],
+    ["sample", "--depth", "1", "--samples", str(2**30), "--workers", str(2**30)],
+])
+def test_unbounded_work_fails_fast(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "more than the limit" in capsys.readouterr().err
+
+
 def test_limit_csv_schema(tmp_path):
     out = tmp_path / "l.csv"
     assert main(["limit", "--N", "10", "--kmax", "1024", "--output", str(out)]) == 0
@@ -246,6 +283,12 @@ def test_regimes_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["classification"] == "subcritical"
     assert doc["fixed_point_c2"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_regimes_has_no_n_max_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["regimes", "--p", "0.7", "--N-max", "5"])
+    assert exc.value.code == 2
 
 
 def test_regimes_bad_tol_and_k_max_fail_fast(capsys):

@@ -265,6 +265,18 @@ def test_cap_ceiling_refused_before_evolving():
         step_pmf(point_mass_initial(0.5), too_wide)
 
 
+def test_fixed_cap_level_count_refused_before_evolving():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="999999999 levels of 100 entries"):
+        evolve(10**9, 0.5, TruncationPolicy(k_max=100))
+    assert time.perf_counter() - t0 < 0.1
+    # levels * (entries + overhead) at the limit passes, one level more does not
+    levels = distribution._MAX_LEVEL_WORK // (100 + distribution._LEVEL_OVERHEAD)
+    distribution._check_level_work(levels, 100)
+    with pytest.raises(ValueError, match="more than the limit"):
+        distribution._check_level_work(levels + 1, 100)
+
+
 # ---------------------------------------------------------------------------
 # FFT branch: same lengths and bits as scipy.signal.fftconvolve
 

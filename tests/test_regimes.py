@@ -179,6 +179,12 @@ def test_classify_all_regimes():
     assert sup.fixed_point_c2 is None
 
 
+def test_classify_has_no_n_max():
+    # the growth self-check always runs over 12 levels; no caller shortens it
+    with pytest.raises(TypeError):
+        classify(0.7, n_max=5)
+
+
 def test_classify_all_min_edge():
     rep = classify(0.0, k_max=8)
     assert rep.classification == "subcritical"

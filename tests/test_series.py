@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from minplustree.series import (
     LIMIT_MEAN,
     PI2_OVER_6,
     B,
+    LimitDiagnostics,
     M,
     S_alpha,
     S_alpha_bound,
@@ -216,6 +218,14 @@ def test_diagnose_two_point_level():
     # a two-point law cannot track a continuous CDF; just recorded
     assert 0.0 <= d.ks_distance <= 1.0
     assert d.target_mean == LIMIT_MEAN
+
+
+def test_limit_diagnostics_fields_are_measured_values():
+    # the target is the limit law's constant, not a field a caller sets
+    assert [f.name for f in dataclasses.fields(LimitDiagnostics)] == [
+        "N", "ks_distance", "mean_scaled"
+    ]
+    assert LimitDiagnostics.target_mean == LIMIT_MEAN
 
 
 def test_ks_distance_quadruple_level(critical_chain):

@@ -163,6 +163,44 @@ def test_worker_pool_bounded_by_cpus(monkeypatch, process_pools):
     assert summaries[0] == summaries[1]
 
 
+def _spawned_counts(cfg):
+    """Counts of the substreams of ``SeedSequence(seed).spawn(workers)``, one by one."""
+    base, extra = divmod(cfg.n_samples, cfg.workers)
+    counts = Counter()
+    for w, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.workers)):
+        share = base + (w < extra)
+        if share:
+            sampler = simulate._Sampler(cfg.depth, cfg.p_plus, share, np.random.Philox(seq))
+            counts.update(sampler.sample(share).tolist())
+    return dict(counts)
+
+
+def test_substream_runs_submit_one_pool_call_per_cpu(monkeypatch, process_pools):
+    # 20000 substreams go to the pool as one contiguous run per usable CPU
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    cfg = SimConfig(depth=2, p_plus=0.5, n_samples=20_000, seed=11, workers=20_000)
+    summary = run(cfg)
+    if _CAN_FORK:
+        assert process_pools.opened == [2]
+    assert process_pools.submitted <= 2
+    assert summary.counts == _spawned_counts(cfg)
+    # whole shares, uneven ones, and substreams past the sample count
+    for workers, n in ((3, 3001), (37, 5000), (64, 40)):
+        cfg = SimConfig(depth=5, p_plus=0.5, n_samples=n, seed=workers, workers=workers)
+        assert run(cfg).counts == _spawned_counts(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_substream_set_up_counts_in_work_limit():
+    # each substream that draws costs about 10^5 leaf visits of set-up
+    SimConfig(depth=4, p_plus=0.5, n_samples=20_000, seed=0, workers=20_000)
+    SimConfig(depth=1, p_plus=0.5, n_samples=2**30, seed=0)
+    with pytest.raises(ValueError, match="substreams"):
+        SimConfig(depth=1, p_plus=0.5, n_samples=2**30, seed=0, workers=2**30)
+    # substreams past the sample count are never set up, so they cost nothing
+    SimConfig(depth=4, p_plus=0.5, n_samples=10, seed=0, workers=2**40)
+
+
 def test_sampler_forks_nothing_beside_another_thread(monkeypatch, process_pools):
     # forking a process that runs threads is unsafe, so the sampler stays serial
     monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
