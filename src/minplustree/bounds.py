@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# recurrence_rhs is not called here; it stays importable from this module
-# because the benchmark's replay (perfbench/replay.py) calls bounds.recurrence_rhs
 from .distribution import (
     CRITICAL_C,
     DIRECT_CONV_MAX,
@@ -365,6 +363,20 @@ def _norm_range(r: RangeLike, lo_default: int = 1) -> Tuple[int, int]:
     return lo, hi
 
 
+class _Profile(NamedTuple):
+    """A model's leading branch q_{N,k} = 1 - G[k] / D(N).
+
+    ``G(out)`` returns G on slots 0..k_hi (with G[1] = 0), written into the
+    free column ``out`` or taken from the model's own tables; ``D(N)`` is
+    the level's scale, and ``covers(N)`` tells whether the branch holds on
+    the whole column, slots 1..k_hi, at level N.
+    """
+
+    G: Callable[[np.ndarray], np.ndarray]
+    D: Callable[[int], float]
+    covers: Callable[[int], bool]
+
+
 def _certify(
     fill_column,
     n_range: Tuple[int, int],
@@ -373,16 +385,28 @@ def _certify(
     keep_grid: bool,
     gamma_at=None,
     check_validity: bool = False,
+    profile: Optional[_Profile] = None,
 ) -> CertificateReport:
     """Scan the residual columns N = n_lo..n_hi over k = k_lo..k_hi.
 
     ``fill_column(N, out)`` writes the model array at level N, slots
-    0..k_hi, into ``out``.  The scan builds every buffer once: two model
-    columns that swap roles from one level to the next, the residual, and a
-    recurrence_rhs plan.  Above the direct cutoff, with more than one usable
-    CPU, the plan runs one forward transform of each level on a single
-    helper thread that lives as long as the scan; everything else,
-    ``fill_column`` and ``gamma_at`` included, stays on the calling thread.
+    0..k_hi, into ``out``.  The scan builds its buffers once and reuses
+    them from level to level: two model columns that swap roles, the
+    residual, and what the recurrence's rhs needs.
+
+    The rhs uses only differences of q and is quadratic in them, so a column
+    q = 1 - G / D has rhs(q) = rhs(G) / D^2.  A level whose column lies
+    wholly on the ``profile``'s leading branch therefore takes rhs(G),
+    computed once per scan by :func:`recurrence_rhs`, scaled by 1 / D(N)^2,
+    and runs no convolution; rhs(G) also avoids the cancellation of
+    convolving a column close to 1.  Every other level runs a
+    recurrence_rhs plan on its own column; the plan is built at the first
+    such level and freed when the profile takes over (in both models the
+    covered levels form a suffix of the scan).  Above the direct cutoff,
+    with more than one usable CPU, the plan runs one forward transform of
+    each level on a single helper thread, opened with the plan and kept
+    until the scan ends; everything else, ``fill_column`` and ``gamma_at``
+    included, stays on the calling thread.
 
     ``gamma_at(N, col)``, when given, returns the smallest breathing-room
     ratio of the residual column at N, or None where no slot qualifies.
@@ -402,17 +426,28 @@ def _certify(
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
     overlap = k_hi > DIRECT_CONV_MAX and _usable_cpus() > 1
-    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
-        rhs_of = _RhsPlan(k_hi, pool)
+    plan = profile_rhs = None
+    with ExitStack() as scope:
         q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
         col = np.empty(k_hi - k_lo + 1)
         fill_column(n_lo, q)
         for N in range(n_lo, n_hi + 1):
+            if profile is not None and profile.covers(N):
+                if profile_rhs is None:
+                    plan = rhs = None  # free the per-level buffers before rhs(G) takes its own
+                    profile_rhs = recurrence_rhs(profile.G(q_next))[k_lo:]
+                    scaled = np.empty_like(profile_rhs)
+                D = profile.D(N)
+                rhs = np.divide(profile_rhs, D * D, out=scaled)
+            else:
+                if plan is None:
+                    pool = scope.enter_context(ThreadPoolExecutor(1)) if overlap else None
+                    plan = _RhsPlan(k_hi, pool)
+                rhs = plan(q)[k_lo:]
             fill_column(N + 1, q_next)
-            rhs = rhs_of(q)
             # direction * ((q_next - q) - rhs) on k_lo..k_hi
             np.subtract(q_next[k_lo:], q[k_lo:], out=col)
-            np.subtract(col, rhs[k_lo:], out=col)
+            np.subtract(col, rhs, out=col)
             if direction < 0:
                 np.negative(col, out=col)
             if grid is not None:
@@ -486,10 +521,13 @@ def certify_upper(
     logk, logk_sq = _log_tables(k_hi)
     ratios = np.empty(k_hi + 1)
 
+    def junction(N: int) -> int:
+        return int(np.searchsorted(logk, m.threshold(N)))  # the first-branch slots end here
+
     def gamma_at(N: int, col: np.ndarray) -> Optional[float]:
         # first-branch slots k >= 2 form the range [lo, hi)
         lo = max(k_lo, 2)
-        hi = min(k_hi + 1, int(np.searchsorted(logk, m.threshold(N))))
+        hi = min(k_hi + 1, junction(N))
         if lo >= hi:
             return None
         r = ratios[lo:hi]
@@ -504,6 +542,7 @@ def certify_upper(
         direction=+1,
         keep_grid=keep_grid,
         gamma_at=gamma_at,
+        profile=_Profile(lambda _: logk_sq, lambda N: N * m.C, lambda N: junction(N) > k_hi),
     )
 
 
@@ -519,6 +558,20 @@ def certify_lower(
     n_range, (k_lo, k_hi) = _grid_ranges(n_range, k_range, keep_grid)
     logk, logk_sq = _log_tables(k_hi)
     bands = _lower_bands(m, k_hi)
+
+    def profile(G: np.ndarray) -> np.ndarray:
+        # G = b below K and log(k)^2 / c_r on band r, so that q = 1 - G / N
+        G[0] = 0.0
+        head = min(m.K, k_hi + 1)
+        G[1:head] = m.b[1:head]
+        for lo, hi, c in bands:
+            np.divide(logk_sq[lo:hi], c, out=G[lo:hi])
+        return G
+
+    def covers(N: int) -> bool:
+        # no band reaches its zero branch, log k >= sqrt(N c), below k_hi
+        return all(logk[hi - 1] < math.sqrt(N * c) for _, hi, c in bands)
+
     return _certify(
         lambda N, out: _lower_column(m, N, logk, logk_sq, bands, out),
         n_range,
@@ -526,6 +579,7 @@ def certify_lower(
         direction=-1,
         keep_grid=keep_grid,
         check_validity=True,
+        profile=_Profile(profile, lambda N: float(N), covers),
     )
 
 

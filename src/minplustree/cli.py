@@ -17,6 +17,7 @@ import numpy as np
 from . import bounds, regimes, series, simulate
 from .distribution import (
     CRITICAL_C,
+    KMAX_LIMIT,
     TruncationPolicy,
     _write_text,
     evolve,
@@ -122,6 +123,8 @@ def _build_lower_model(args: argparse.Namespace) -> bounds.LowerStepModel:
     # head: a_k = b_k below 33, squared log up to the threshold (the documented
     # construction); both pieces shrink when K itself is small
     K = args.K
+    if K > KMAX_LIMIT:  # before b, about 24 B per K, is built
+        raise ValueError(f"K = {K} is above the limit of {KMAX_LIMIT}")
     head = min(33, K)
     b = np.zeros(K)
     a = bounds.b_sequence(max(head - 1, 1))

@@ -185,10 +185,16 @@ class TruncationPolicy:
             raise ValueError("k_max must be >= 2")
 
     def cap_for(self, level: int) -> int:
-        cap = max(2, 1 << (level - 1)) if self.k_max is None else int(self.k_max)
+        if self.k_max is not None:
+            cap = int(self.k_max)
+        elif level - 1 > KMAX_LIMIT.bit_length():
+            cap = math.inf  # 2^(level - 1), far above the limit, is not built
+        else:
+            cap = max(2, 1 << (level - 1))
         if cap > KMAX_LIMIT:
+            shown = f"2^{level - 1}" if cap == math.inf else cap
             raise ValueError(
-                f"cap {cap} at level {level} is above the limit of {KMAX_LIMIT} entries; "
+                f"cap {shown} at level {level} is above the limit of {KMAX_LIMIT} entries; "
                 "pass a smaller fixed k_max"
             )
         return cap

@@ -456,6 +456,56 @@ def _certify_reference(values_at, n_range, k_range, direction, model1_mask=None,
 BIG_K = 3 * DIRECT_CONV_MAX + 5  # above the direct cutoff: the FFT plan's branch
 
 
+def _profile_rows(certify, m, n_range, k_hi):
+    """Per level: whether the column up to k_hi lies on the leading branch, below
+    the upper model's junction or on no slot of the lower model's zero branch."""
+    levels = range(n_range[0], n_range[1] + 1)
+    if certify is certify_upper:
+        return [math.log(k_hi) < m.threshold(N) for N in levels]
+    return [not (lower_model_values(m, N, k_hi)[m.K :] == 0.0).any() for N in levels]
+
+
+def _upper_reference(m, n_range, k_range):
+    def model1_mask(N, k_lo, k_hi):
+        kk = np.arange(k_lo, k_hi + 1, dtype=float)
+        return (np.log(kk) < m.threshold(N)) & (kk >= 2.0)
+
+    return _certify_reference(lambda N, k: upper_model_values(m, N, k), n_range, k_range,
+                              +1, model1_mask=model1_mask)
+
+
+def _lower_reference(m, n_range, k_range):
+    return _certify_reference(lambda N, k: lower_model_values(m, N, k), n_range, k_range,
+                              -1, validity_at=lambda N, k: lower_model_validity(m, N, k))
+
+
+def _assert_scan_matches(got, want, profile_rows):
+    """A scan against the per-level reference: rows on the per-level path
+    bitwise; rows whose rhs comes from the profile within rtol 1e-9,
+    atol 1e-15, with the same violations and validity."""
+    if not any(profile_rows):
+        assert got.to_json_dict() == want.to_json_dict()
+        return
+    close = dict(rel=1e-9, abs=1e-15)
+    for fast, row, ref in zip(profile_rows, got.residuals, want.residuals, strict=True):
+        if fast:
+            np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(row, ref)
+    assert (got.checked_n, got.checked_k) == (want.checked_n, want.checked_k)
+    assert got.min_margin == pytest.approx(want.min_margin, **close)
+    assert got.n_violations == want.n_violations
+    assert (got.first_violation is None) == (want.first_violation is None)
+    if want.first_violation is not None:
+        assert got.first_violation[:2] == want.first_violation[:2]
+        assert got.first_violation[2] == pytest.approx(want.first_violation[2], **close)
+    assert got.curve_valid == want.curve_valid
+    assert got.first_invalid_curve == want.first_invalid_curve
+    assert (got.gamma_estimate is None) == (want.gamma_estimate is None)
+    if want.gamma_estimate is not None:
+        assert got.gamma_estimate == pytest.approx(want.gamma_estimate, **close)
+
+
 @pytest.mark.parametrize(
     "C, beta, n_range, k_range",
     [
@@ -467,18 +517,12 @@ BIG_K = 3 * DIRECT_CONV_MAX + 5  # above the direct cutoff: the FFT plan's branc
 )
 def test_certify_upper_matches_column_loop(C, beta, n_range, k_range):
     m = UpperModel(C=C, beta=beta)
-
-    def model1_mask(N, k_lo, k_hi):
-        kk = np.arange(k_lo, k_hi + 1, dtype=float)
-        return (np.log(kk) < m.threshold(N)) & (kk >= 2.0)
-
-    want = _certify_reference(lambda N, k: upper_model_values(m, N, k), n_range, k_range,
-                              +1, model1_mask=model1_mask)
+    want = _upper_reference(m, n_range, k_range)
     got = certify_upper(m, n_range, k_range, keep_grid=True)
-    assert got.to_json_dict() == want.to_json_dict()
+    _assert_scan_matches(got, want, _profile_rows(certify_upper, m, n_range, k_range[1]))
     # rows are copies: a view of the reused residual buffer would repeat the last column
     assert not np.array_equal(got.residuals[0], got.residuals[-1])
-    plain = {k: v for k, v in want.to_json_dict().items() if k not in ("grid_shape", "residuals")}
+    plain = {k: v for k, v in got.to_json_dict().items() if k not in ("grid_shape", "residuals")}
     assert certify_upper(m, n_range, k_range).to_json_dict() == plain
 
 
@@ -494,10 +538,9 @@ def test_certify_upper_matches_column_loop(C, beta, n_range, k_range):
     ],
 )
 def test_certify_lower_matches_column_loop(model, n_range, k_range):
-    want = _certify_reference(lambda N, k: lower_model_values(model, N, k), n_range, k_range,
-                              -1, validity_at=lambda N, k: lower_model_validity(model, N, k))
+    want = _lower_reference(model, n_range, k_range)
     got = certify_lower(model, n_range, k_range, keep_grid=True)
-    assert got.to_json_dict() == want.to_json_dict()
+    _assert_scan_matches(got, want, _profile_rows(certify_lower, model, n_range, k_range[1]))
     assert not np.array_equal(got.residuals[0], got.residuals[-1])
 
 
@@ -510,11 +553,14 @@ SCAN_CASES = [
     # step bands; the model stops being a survival curve at N = 15, mid-scan
     (certify_lower, LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (5000, 2.0))),
      (10, 20), (1, BIG_K)),
+    # the junction leaves the column at N = 35, mid-scan
+    (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K)),
 ]
 
 
 @pytest.mark.parametrize("certify, model, n_range, k_range", SCAN_CASES)
 def test_threaded_scan_matches_serial(monkeypatch, certify, model, n_range, k_range):
+    profile_rows = _profile_rows(certify, model, n_range, k_range[1])
     pools = []
 
     class Recording(ThreadPoolExecutor):
@@ -536,8 +582,8 @@ def test_threaded_scan_matches_serial(monkeypatch, certify, model, n_range, k_ra
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    # one helper thread per scan, and only where the recurrence takes the FFT branch
-    assert pools == ([1] if k_range[1] > DIRECT_CONV_MAX else [])
+    # one helper thread per scan, and only where a level runs the FFT plan
+    assert pools == ([1] if k_range[1] > DIRECT_CONV_MAX and not all(profile_rows) else [])
     assert threading.active_count() == before
 
 
@@ -558,11 +604,100 @@ def test_scan_transform_error_propagates_and_joins_helper(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", failing_rfft)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="third transform failed"):
-        certify_upper(UpperModel(C=3.62, beta=2.0), (10_000, 10_003), (1, BIG_K))
+        # levels 30..34 cross the junction, so they take the per-level plan
+        certify_upper(UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K))
     # the second level's other transform was already under way and is waited for
     assert len(callers) == 4
     assert len(set(callers)) == 2
     assert threading.active_count() == before
+
+
+def _count_rfft(monkeypatch):
+    """Patch np.fft.rfft to count its calls; returns the list it appends to."""
+    rfft, calls = np.fft.rfft, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "certify, model, n_lo, k_range",
+    [
+        (certify_upper, UpperModel(C=3.62, beta=2.0), 10_000, (1, BIG_K)),
+        (certify_lower, make_log_splice(12000, 1.0), 10_000, (12_000, 12_000 + BIG_K)),
+    ],
+)
+def test_in_family_scan_transforms_once(monkeypatch, certify, model, n_lo, k_range):
+    # every column lies on the leading branch: rhs(G) is the scan's only convolution
+    counts = []
+    for levels in (3, 30):
+        calls = _count_rfft(monkeypatch)
+        certify(model, (n_lo, n_lo + levels - 1), k_range)
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "certify, model, n_range, k_range",
+    [
+        # the junction leaves the column at N = 35
+        (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K)),
+        # the zero branch leaves the column at N = 102
+        (certify_lower, make_log_splice(12000, 1.0), (96, 106), (12_000, 12_000 + BIG_K)),
+    ],
+)
+def test_scan_leaving_the_branch_uses_both_paths(monkeypatch, certify, model, n_range, k_range):
+    profile_rows = _profile_rows(certify, model, n_range, k_range[1])
+    assert not profile_rows[0] and profile_rows[-1]
+    calls = _count_rfft(monkeypatch)
+    got = certify(model, n_range, k_range, keep_grid=True)
+    # two forward transforms per per-level column, and two for rhs(G)
+    assert len(calls) == 2 * profile_rows.count(False) + 2
+    monkeypatch.undo()
+    want = (_upper_reference if certify is certify_upper else _lower_reference)(
+        model, n_range, k_range)
+    _assert_scan_matches(got, want, profile_rows)
+
+
+def _rhs_longdouble(G, ks):
+    """(1/2) sum_l (G_l - G_{l+1}) (G_{k-l} - G_k) for each k in ks, summed directly
+    in long double."""
+    G = G.astype(np.longdouble)
+    return np.array([0.5 * np.sum((G[1:k] - G[2 : k + 1]) * (G[k - 1 : 0 : -1] - G[k]))
+                     for k in ks])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_profile_residuals_beat_per_level_fft_against_long_double():
+    N, k_hi = 10_000, 2**16
+    ks = np.array([*range(2, 11), 100, 1000, 12_000, 2**15, k_hi])
+    LD = np.longdouble
+    log_sq = np.zeros(k_hi + 1)
+    log_sq[1:] = np.log(np.arange(1, k_hi + 1, dtype=float)) ** 2
+    upper, lower = UpperModel(C=3.62, beta=2.0), make_log_splice(12000, 1.0)
+    # q = 1 - G / D on the whole column, in both models
+    lower_G = np.concatenate((lower.b[:12000], log_sq[12000:] / lower.c))
+    cases = (
+        (certify_upper, upper_model_values, upper, log_sq, LD(N) * LD(upper.C), +1),
+        (certify_lower, lower_model_values, lower, lower_G, LD(N), -1),
+    )
+    for certify, values, m, G, D, direction in cases:
+        q, q_next = values(m, N, k_hi), values(m, N + 1, k_hi)
+        # both columns lie in [1/2, 1], so their difference is exact in floating point and
+        # the residuals differ from the reference only through the rhs
+        assert q.min() >= 0.5
+        ref = direction * ((q_next - q)[ks].astype(LD) - _rhs_longdouble(G, ks) / (D * D))
+        new = certify(m, (N, N), (1, k_hi), keep_grid=True).residuals[0][ks - 1]
+        old = _certify_reference(lambda n, k: values(m, n, k), (N, N), (1, k_hi),
+                                 direction).residuals[0][ks - 1]
+        err_new = float(np.max(np.abs((new - ref) / ref)))
+        err_old = float(np.max(np.abs((old - ref) / ref)))
+        assert 10 * err_new <= err_old, (certify.__name__, err_new, err_old)
 
 
 def _validity_reference(q):

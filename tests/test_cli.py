@@ -255,6 +255,16 @@ def test_oversized_k_fails_fast(capsys, argv):
     assert str(KMAX_LIMIT) in capsys.readouterr().err
 
 
+def test_bounds_lower_oversized_K_fails_fast(capsys):
+    t0 = time.perf_counter()
+    assert main(["bounds", "--model", "lower", "--K", str(10**12), "--N-range", "100:101",
+                 "--k-range", "10"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert f"K = {10**12} is above the limit of {KMAX_LIMIT}" in capsys.readouterr().err
+    assert main(["bounds", "--model", "lower", "--K", "3000000", "--N-range", "100:101",
+                 "--k-range", "10"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--model", "upper", "--N-range", "1:1000000000000", "--k-range", "10"],
     ["evolve", "--N", "1000000000", "--kmax", "100"],

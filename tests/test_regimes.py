@@ -161,6 +161,12 @@ def test_supercritical_oversized_level_refused_before_first_step():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_supercritical_huge_level_named_not_built():
+    # 2^99999 has 30103 digits: the cap is named as a power, not formatted as an integer
+    with pytest.raises(ValueError, match=r"cap 2\^99999 at level 100000 "):
+        supercritical_growth(0.6, 10**5)
+
+
 def test_classify_all_regimes():
     sub = classify(0.4, k_max=16)
     assert sub.classification == "subcritical"
