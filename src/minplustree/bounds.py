@@ -140,8 +140,12 @@ def upper_model_tail(m: UpperModel, N: int, log_k: FloatOrArray) -> FloatOrArray
     finite there when whole columns are evaluated.
     """
     t = m.threshold(N)
-    coef = (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
-    return coef * np.exp(np.minimum(-(log_k - t) / m.beta, 0.0))
+    return _tail_coef(m, N) * np.exp(np.minimum(-(log_k - t) / m.beta, 0.0))
+
+
+def _tail_coef(m: UpperModel, N: int) -> float:
+    """The second branch's value at the junction."""
+    return (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
 
 
 def upper_model_values(m: UpperModel, N: int, k_max: int) -> np.ndarray:
@@ -166,10 +170,10 @@ def _upper_column(
     """Write :func:`upper_model_values` into ``out`` from the tables
     ``_log_tables(k_max)``.
 
-    Since log k rises with k, the first branch is a prefix.  It covers
-    whole columns at the levels a scan reaches, so it is written in place,
-    with the operations of ``upper_model_smooth`` in the same order; the
-    exponential tail goes through ``upper_model_tail``.
+    Since log k rises with k, the first branch is a prefix and the
+    exponential tail a suffix.  Both are written in place, with the
+    operations of ``upper_model_smooth`` and ``upper_model_tail`` in the
+    same order.
     """
     t = m.threshold(N)
     j = int(np.searchsorted(logk, t))  # logk[:j] < t <= logk[j:]
@@ -177,7 +181,13 @@ def _upper_column(
     np.divide(logk_sq[:j], N * m.C, out=head)
     np.subtract(1.0, head, out=head)
     if j < out.size:
-        out[j:] = upper_model_tail(m, N, logk[j:])
+        tail = out[j:]
+        np.subtract(logk[j:], t, out=tail)
+        np.negative(tail, out=tail)
+        np.divide(tail, m.beta, out=tail)
+        np.minimum(tail, 0.0, out=tail)
+        np.exp(tail, out=tail)
+        np.multiply(_tail_coef(m, N), tail, out=tail)
     out[0] = 1.0
 
 

@@ -200,6 +200,21 @@ class TruncationPolicy:
         return cap
 
 
+def _check_mass(probs: np.ndarray, tail_mass: float) -> None:
+    """Refuse a negative or NaN entry, or a total ``sum + tail`` off 1 by more than ``NORM_EPS``.
+
+    Both passes run over the whole array: numpy's pairwise sum groups a
+    slice differently, so a sum over the support alone could differ in its
+    last bits from the one :func:`_step_into` normalizes with.
+    """
+    # negated comparisons, so that NaN fails them too
+    if not (probs.min() >= 0.0 and tail_mass >= 0.0):
+        raise ValueError("negative or NaN probability entry")
+    total = float(probs.sum()) + tail_mass
+    if not abs(total - 1.0) <= NORM_EPS:
+        raise ValueError(f"mass not normalized: sum+tail = {total!r}")
+
+
 @dataclass(frozen=True)
 class MassFunction:
     """Probability mass of the root value on {1, ..., k_max} plus lumped tail.
@@ -226,12 +241,7 @@ class MassFunction:
             raise ValueError("level must be >= 1")
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError("p_plus must be a probability")
-        # negated comparisons, so that NaN fails them too
-        if not (probs.min() >= 0.0 and self.tail_mass >= 0.0):
-            raise ValueError("negative or NaN probability entry")
-        total = float(probs.sum()) + self.tail_mass
-        if not abs(total - 1.0) <= NORM_EPS:
-            raise ValueError(f"mass not normalized: sum+tail = {total!r}")
+        _check_mass(probs, self.tail_mass)
         if self.level == 1 and (probs[1] != 1.0 or self.tail_mass != 0.0):
             raise ValueError("level 1 must be a point mass at k = 1")
 
@@ -296,13 +306,16 @@ def point_mass_initial(p_plus: float = 0.5, k_max: int = 2) -> MassFunction:
     return MassFunction(probs=probs, tail_mass=0.0, level=1, p_plus=p_plus)
 
 
-def _support_window(probs: np.ndarray) -> Optional[tuple[int, int]]:
-    """First and last index of a nonzero entry, or None when there is none."""
-    nonzero = probs != 0.0
-    lo = int(nonzero.argmax())
-    if not nonzero[lo]:
+def _support_window(
+    probs: np.ndarray, lo: int = 0, hi: Optional[int] = None
+) -> Optional[tuple[int, int]]:
+    """First and last index of a nonzero entry among ``probs[lo : hi + 1]``
+    (the whole array by default), or None when there is none."""
+    nonzero = probs[lo : probs.size if hi is None else hi + 1] != 0.0
+    first = int(nonzero.argmax()) if nonzero.size else 0
+    if not (nonzero.size and nonzero[first]):
         return None
-    return lo, nonzero.size - 1 - int(nonzero[::-1].argmax())
+    return lo + first, lo + nonzero.size - 1 - int(nonzero[::-1].argmax())
 
 
 def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
@@ -312,67 +325,130 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
     landing above the cap routed into the tail.  The min part is computed
     through survival squares, P(min >= k) = P(X >= k)^2, with the lumped
     tail treated as mass above the cap.  Normalization is preserved because
-    both parts conserve total mass by construction.
+    both parts conserve total mass by construction.  This is one
+    :func:`_step_into` on fresh arrays, the step :func:`evolve` takes.
     """
-    new_level = m.level + 1
-    cap = policy.cap_for(new_level)
-    p = m.p_plus
+    cap = policy.cap_for(m.level + 1)
+    probs = np.zeros(cap + 1)
+    tail, _ = _step_into(
+        m.probs, m.tail_mass, _support_window(m.probs), m.p_plus, policy.tail_mode, probs, _ConvBlock()
+    )
+    return MassFunction(probs=probs, tail_mass=tail, level=m.level + 1, p_plus=m.p_plus)
 
-    sum_in = np.zeros(cap + 1)
-    sum_tail = 0.0
-    if p > 0.0:
-        t_in = m.tail_mass
-        beyond = 0.0
-        window = _support_window(m.probs)
-        if window is not None:
-            lo, hi = window
-            seg = m.probs[lo : hi + 1]
-            conv = _clamp_probabilities(_convolve(seg, seg))  # X1 + X2 on [2*lo, 2*hi]
-            take_hi = min(2 * hi, cap)
-            if take_hi >= 2 * lo:
-                sum_in[2 * lo : take_hi + 1] = conv[: take_hi - 2 * lo + 1]
-                beyond = float(conv[take_hi - 2 * lo + 1 :].sum())
+
+class _ConvBlock:
+    """The spectrum and the inverse transform of a self-convolution above the
+    direct cutoff, in one allocation that a level loop keeps.
+
+    The block is replaced only when a transform is longer than any before
+    it; shorter ones use its head.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self) -> None:
+        self.block: Optional[np.ndarray] = None
+
+    def self_convolve(self, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_convolve(seg, seg)`` as a view of the block, and the spent
+        spectrum's memory as float scratch of at least ``2 * seg.size`` entries."""
+        n = 2 * seg.size - 1
+        length = _fast_len(n)
+        half = length // 2 + 1  # complex entries of the spectrum; the rest holds the result
+        if self.block is None or self.block.size < length + 1:
+            self.block = None  # the old block goes before the new one is allocated
+            self.block = np.empty(length + 1, dtype=complex)
+        spec = self.block[:half]
+        conv = _fft_product(seg, seg, length, spec, out=self.block[half:].view(float)[:length])
+        return conv[:n], spec.view(float)
+
+
+def _step_into(
+    src: np.ndarray,
+    tail_mass: float,
+    window: Optional[tuple[int, int]],
+    p: float,
+    tail_mode: str,
+    out: np.ndarray,
+    block: _ConvBlock,
+) -> tuple[float, tuple[int, int]]:
+    """Write the level after ``src`` (its mass array, lumped tail and
+    :func:`_support_window`) into ``out``, which holds cap + 1 zeros.
+
+    Returns the new tail mass and the slots [lo, min(2 hi, cap)] that the
+    new level can reach from the window [lo, hi] (an empty range when there
+    are none).  Every pass but the normalization sum runs on those slots.
+    Each entry takes the IEEE operations, in the same order, of the
+    full-length formula ``p * sum_in + (1 - p) * min_in``, with
+    ``min_in[k] = s[k]^2 - s[k+1]^2`` over the survival ``s`` including the
+    tail, so the result does not depend on the window or the buffers: the
+    min part is written first, and each sum-part entry is added to a slot
+    that holds its ``(1 - p) * min_in`` or zero.  Above the direct cutoff
+    the convolution lives in ``block``, and the survival and its squares in
+    the spent spectrum.
+    """
+    cap = out.size - 1
+    q = 1.0 - p
+    sum_tail = min_tail = 0.0
+    if window is None:  # all mass lumped: no slot can become nonzero
+        lo, top = 1, 0
+        if p < 1.0:
+            min_tail = tail_mass * tail_mass
+    else:
+        lo, hi = window
+        top = min(2 * hi, cap)
+        seg = src[lo : hi + 1]
+        w = seg.size
+        scratch = None
+        if p > 0.0:
+            if w > DIRECT_CONV_MAX:
+                conv, scratch = block.self_convolve(seg)
             else:
-                beyond = float(conv.sum())
+                conv = np.convolve(seg, seg)
+            _clamp_probabilities(conv)  # conv[j] is P(X1 + X2 = 2 lo + j)
+            count = top - 2 * lo + 1  # the slots of conv at or below the cap
+            sum_tail = float(conv[max(count, 0) :].sum())
+        if p < 1.0:
+            # s[j] = P(X >= lo + j) for j = 0..w; s[w] is the tail alone
+            s = np.empty(w + 1) if scratch is None else scratch[: w + 1]
+            np.cumsum(seg[::-1], out=s[w - 1 :: -1])
+            s[w] = 0.0
+            np.add(s, tail_mass, out=s)
+            np.multiply(s, s, out=s)
+            min_tail = float(s[min(max(cap + 1, lo), hi + 1) - lo])
+            n = min(hi, cap) - lo + 1
+            if n > 0:
+                body = out[lo : lo + n]
+                np.subtract(s[:n], s[1 : n + 1], out=body)
+                np.multiply(body, q, out=body)
+        if p > 0.0 and count > 0:
+            head = conv[:count]
+            np.multiply(head, p, out=head)
+            np.add(out[2 * lo : top + 1], head, out=out[2 * lo : top + 1])
+    if p > 0.0:
         # any pair touching the incoming tail sums past the cap
-        sum_tail = beyond + t_in * (2.0 - t_in)
+        sum_tail = sum_tail + tail_mass * (2.0 - tail_mass)
+    tail = p * sum_tail + q * min_tail
 
-    min_in = np.zeros(cap + 1)
-    min_tail = 0.0
-    if p < 1.0:
-        s = np.empty(cap + 2)  # s[k] = P(X >= k), s[cap+1] = mass beyond cap
-        s[0] = 1.0
-        upto = min(m.k_max, cap + 1)
-        s[1 : upto + 1] = _survival_suffix(m.probs, m.tail_mass)[:upto]
-        if cap + 1 > m.k_max:
-            s[m.k_max + 1 :] = m.tail_mass
-        sq = s * s
-        min_in[1:] = sq[1 : cap + 1] - sq[2 : cap + 2]
-        min_tail = float(sq[cap + 1])
-
-    probs = p * sum_in + (1.0 - p) * min_in
-    probs[0] = 0.0
-    tail = p * sum_tail + (1.0 - p) * min_tail
-
-    if policy.tail_mode == "drop":
-        kept = float(probs.sum())
+    reach = out[lo : top + 1]  # empty when lo > top
+    if tail_mode == "drop":
+        kept = float(out.sum())
         if kept <= 0.0:
             raise ArithmeticError("drop mode removed all probability mass")
-        probs /= kept
+        reach /= kept
         tail = 0.0
     else:
         # Rescale away single-step rounding: a defect delta in the total would
         # double every level through the self-convolution, so it must not be
         # allowed to ride along.  Exact-arithmetic cases have total == 1.0 and
         # are left untouched.
-        total = float(probs.sum()) + tail
+        total = float(out.sum()) + tail
         if abs(total - 1.0) > NORM_EPS:
             raise ArithmeticError(f"one step lost normalization: total = {total!r}")
         if total != 1.0:
-            probs /= total
+            reach /= total
             tail /= total
-
-    return MassFunction(probs=probs, tail_mass=tail, level=new_level, p_plus=p)
+    return tail, (lo, top)
 
 
 def recurrence_rhs(q: np.ndarray) -> np.ndarray:
@@ -468,9 +544,37 @@ def evolve(n_target: int, p_plus: float, policy: TruncationPolicy) -> MassFuncti
     for level in range(2, n_target + 1):
         policy.cap_for(level)
     m = point_mass_initial(p_plus, k_max=2)
-    for _ in range(n_target - 1):
-        m = step_pmf(m, policy)
+    for level, probs, tail in _levels(m, n_target, policy):
+        if level == n_target:
+            m = MassFunction(probs=probs, tail_mass=tail, level=level, p_plus=p_plus)
     return m
+
+
+def _levels(
+    m: MassFunction, n_target: int, policy: TruncationPolicy
+) -> Iterator[tuple[int, np.ndarray, float]]:
+    """``(level, probs, tail_mass)`` for the levels after ``m`` up to
+    ``n_target``, each checked as a :class:`MassFunction` would be.
+
+    Two arrays of the largest cap hold the levels in turn, and one
+    :class:`_ConvBlock` serves every transform, so a level allocates only
+    window-sized temporaries below the direct cutoff.  A yielded ``probs``
+    is a read-only view that the level after next overwrites.
+    """
+    bufs = [np.zeros(policy.cap_for(n_target) + 1) for _ in range(2)]  # caps never shrink
+    dirty: list = [None, None]  # the support window each buffer last held
+    block = _ConvBlock()
+    probs, tail, window = m.probs, m.tail_mass, _support_window(m.probs)
+    for level in range(m.level + 1, n_target + 1):
+        i = level % 2
+        if dirty[i] is not None:
+            bufs[i][dirty[i][0] : dirty[i][1] + 1] = 0.0
+        src, probs = probs, bufs[i][: policy.cap_for(level) + 1]
+        tail, reach = _step_into(src, tail, window, m.p_plus, policy.tail_mode, probs, block)
+        window = dirty[i] = _support_window(probs, *reach)
+        _check_mass(probs, tail)
+        probs.setflags(write=False)
+        yield level, probs, tail
 
 
 class Moments(NamedTuple):

@@ -109,13 +109,6 @@ def log_sq_tangent_error(ell: int) -> float:
     return math.log(ell + 1) ** 2 - math.log(ell) ** 2 - 2.0 * math.log(ell) / ell
 
 
-def weighted_tangent_error_sum(lo: int = 3, hi: int = 120) -> float:
-    """sum_{l=lo}^{hi} 2 l e_l; the default window sums below -7."""
-    ell = np.arange(lo, hi + 1, dtype=float)
-    e = np.log(ell + 1.0) ** 2 - np.log(ell) ** 2 - 2.0 * np.log(ell) / ell
-    return float(np.sum(2.0 * ell * e))
-
-
 def limit_cdf(t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Limiting CDF of the scaled log value: 0 below 0, t^2 on [0, 1], 1 above."""
     clipped = np.clip(t, 0.0, 1.0)

@@ -806,6 +806,34 @@ def test_model_values_match_branch_formulas():
             )
 
 
+def test_upper_column_tail_is_upper_model_tail_bitwise():
+    # the in-place exponential branch against the function, array and scalar
+    for m in (UpperModel(3.62, 2.0), UpperModel(C=0.8 * CRITICAL_C, beta=1.5)):
+        for N, k_max in ((1, 50), (30, 2**16), (40, 10**6)):
+            col = upper_model_values(m, N, k_max)
+            logk = np.log(np.arange(1, k_max + 1, dtype=float))
+            j = 1 + int(np.searchsorted(logk, m.threshold(N)))
+            assert j <= k_max, (N, k_max)  # the column crosses the junction
+            np.testing.assert_array_equal(col[j:], upper_model_tail(m, N, logk[j - 1 :]))
+            for k in (j, (j + k_max) // 2, k_max):
+                assert col[k] == upper_model_tail(m, N, float(logk[k - 1]))
+
+
+def test_certify_upper_memory_per_k_across_junction():
+    # columns past the junction write their tail in place, as first-branch ones do
+    m = UpperModel(3.62, 2.0)
+    k_hi = 2**16
+    assert math.exp(m.threshold(32)) < k_hi
+    np.fft.rfft(np.ones(8))  # numpy.fft loads on first use; its import is not the scan's
+    tracemalloc.start()
+    try:
+        certify_upper(m, (30, 32), (1, k_hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * k_hi
+
+
 def test_certify_lower_memory_per_k():
     # the bound the README states for one scan at k_hi entries
     m = make_log_splice(12000, 1.0)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import multiprocessing
+import re
 import threading
 import time
 import tracemalloc
@@ -26,9 +27,12 @@ from minplustree.distribution import (
     write_distribution_csv,
     write_distribution_json,
     _CSV_BLOCK_ROWS,
+    _clamp_probabilities,
     _convolve,
     _fast_len,
+    _levels,
     _support_window,
+    _survival_suffix,
 )
 
 from enum_oracle import enumerate_pmf
@@ -199,6 +203,122 @@ def test_truncated_mean_is_lower_bound():
 # truncation policies
 
 
+def _step_pmf_reference(m, policy):
+    """One level on full-cap arrays: the formulas the engine must match bit for bit."""
+    new_level = m.level + 1
+    cap = policy.cap_for(new_level)
+    p = m.p_plus
+
+    sum_in = np.zeros(cap + 1)
+    sum_tail = 0.0
+    if p > 0.0:
+        t_in = m.tail_mass
+        beyond = 0.0
+        window = _support_window(m.probs)
+        if window is not None:
+            lo, hi = window
+            seg = m.probs[lo : hi + 1]
+            conv = _clamp_probabilities(_convolve(seg, seg))  # X1 + X2 on [2*lo, 2*hi]
+            take_hi = min(2 * hi, cap)
+            if take_hi >= 2 * lo:
+                sum_in[2 * lo : take_hi + 1] = conv[: take_hi - 2 * lo + 1]
+                beyond = float(conv[take_hi - 2 * lo + 1 :].sum())
+            else:
+                beyond = float(conv.sum())
+        sum_tail = beyond + t_in * (2.0 - t_in)
+
+    min_in = np.zeros(cap + 1)
+    min_tail = 0.0
+    if p < 1.0:
+        s = np.empty(cap + 2)  # s[k] = P(X >= k), s[cap+1] = mass beyond cap
+        s[0] = 1.0
+        upto = min(m.k_max, cap + 1)
+        s[1 : upto + 1] = _survival_suffix(m.probs, m.tail_mass)[:upto]
+        if cap + 1 > m.k_max:
+            s[m.k_max + 1 :] = m.tail_mass
+        sq = s * s
+        min_in[1:] = sq[1 : cap + 1] - sq[2 : cap + 2]
+        min_tail = float(sq[cap + 1])
+
+    probs = p * sum_in + (1.0 - p) * min_in
+    probs[0] = 0.0
+    tail = p * sum_tail + (1.0 - p) * min_tail
+
+    if policy.tail_mode == "drop":
+        kept = float(probs.sum())
+        if kept <= 0.0:
+            raise ArithmeticError("drop mode removed all probability mass")
+        probs /= kept
+        tail = 0.0
+    else:
+        total = float(probs.sum()) + tail
+        if abs(total - 1.0) > 1e-9:
+            raise ArithmeticError(f"one step lost normalization: total = {total!r}")
+        if total != 1.0:
+            probs /= total
+            tail /= total
+    return MassFunction(probs=probs, tail_mass=tail, level=new_level, p_plus=p)
+
+
+def _assert_same_level(got, want):
+    assert got.level == want.level
+    assert np.array_equal(got.probs, want.probs)
+    assert not np.signbit(got.probs).any()  # no -0.0 where the reference has +0.0
+    assert got.tail_mass == want.tail_mass
+
+
+def _check_chain_bitwise(m, n_target, policy):
+    """step_pmf and the level loop against the reference, level by level; the
+    reference's last level, or None where a step raises."""
+    loop = _levels(m, n_target, policy)
+    while m.level < n_target:
+        try:
+            want = _step_pmf_reference(m, policy)
+        except ArithmeticError as err:
+            for step in (lambda: step_pmf(m, policy), lambda: next(loop)):
+                with pytest.raises(ArithmeticError, match=re.escape(str(err))):
+                    step()
+            return None
+        _assert_same_level(step_pmf(m, policy), want)
+        level, probs, tail = next(loop)
+        _assert_same_level(MassFunction(probs, tail, level, m.p_plus), want)
+        m = want
+    assert next(loop, None) is None
+    return m
+
+
+_ORACLE_PS = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("tail_mode", ["lump", "drop"])
+@pytest.mark.parametrize("p", _ORACLE_PS)
+def test_levels_bitwise_match_reference_step(p, tail_mode):
+    # caps on both sides of the direct cutoff, run until the window passes it
+    for cap, n_target in ((2, 8), (100, 12), (4096, 16), (4097, 16), (2**15, 18), (None, 18)):
+        policy = TruncationPolicy(k_max=cap, tail_mode=tail_mode)
+        want = _check_chain_bitwise(point_mass_initial(p), n_target, policy)
+        if want is not None:
+            _assert_same_level(evolve(n_target, p, policy), want)
+
+
+@pytest.mark.parametrize("p", _ORACLE_PS)
+def test_step_bitwise_matches_reference_across_cap_changes(p):
+    # a cap below the support lumps the excess into the tail, also below the
+    # window's first slot (p = 1 puts all mass at 2^15, and the hand-made level
+    # starts at 200); a cap that grows after lumping extends the tail as
+    # survival; drop mode renormalizes what is kept
+    full = evolve(16, p, TruncationPolicy())  # support up to 2^15
+    lumped = step_pmf(full, TruncationPolicy(k_max=100))
+    probs = np.zeros(6001)
+    probs[200:5201] = np.random.default_rng(5).random(5001)
+    probs /= probs.sum()
+    shifted = MassFunction(probs=probs, tail_mass=0.0, level=5, p_plus=p)
+    for m in (full, lumped, shifted):
+        for cap in (2, 100, 4096, 5000, 2**16):
+            for tail_mode in ("lump", "drop"):
+                _check_chain_bitwise(m, m.level + 3, TruncationPolicy(k_max=cap, tail_mode=tail_mode))
+
+
 def test_lump_mode_conserves_mass():
     m = evolve(8, 0.5, TruncationPolicy(k_max=16))
     assert m.tail_mass > 0.0
@@ -328,6 +448,12 @@ def test_support_window_matches_index_array_reference():
     cases.append(evolve(12, 0.5, TruncationPolicy(k_max=4096)).probs)
     for probs in cases:
         assert _support_window(probs) == _support_window_reference(probs)
+        # a range of slots, as the level loop searches the slots a level can reach
+        n = probs.size
+        for lo, hi in ((1, n - 2), (n // 2, n - 1), (0, n // 3), (n - 1, n - 2)):
+            want = _support_window_reference(probs[lo : hi + 1])
+            want = None if want is None else (lo + want[0], lo + want[1])
+            assert _support_window(probs, lo, hi) == want, (n, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +667,9 @@ def test_csv_writer_memory_bounded_by_block(tmp_path):
 
 
 def test_evolve_memory_per_cap_entry():
-    # the bound the README states for one level of cap K
+    # the bound the README states for one level of cap K: two mass arrays
+    # (16 B) and the FFT block (32 B) peak at 50 B per entry (51 when
+    # numpy.fft is first imported inside the trace), held with 4 B of margin
     cap = 2**17
     tracemalloc.start()
     try:
@@ -549,7 +677,7 @@ def test_evolve_memory_per_cap_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * cap
+    assert peak <= 54 * cap
 
 
 def test_json_blocks_match_json_dumps(tmp_path, monkeypatch, process_pools):
