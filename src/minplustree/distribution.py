@@ -616,11 +616,13 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     the same bytes either way.  The writer holds the survival column and at
     most two blocks of text per worker, never the whole table.
     """
+    from minplustree._floattext import csv_rows
+
     surv = m.survival().values
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(_csv_rows, *_blocks(m.k_max + 1, m.probs, surv))) as blocks:
+        with closing(_ordered_map(csv_rows, *_blocks(m.k_max + 1, m.probs, surv))) as blocks:
             for text in blocks:
                 fh.write(text)
 
@@ -632,26 +634,16 @@ def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     values, formatted as by :func:`write_distribution_csv`, so the writer
     never holds the whole document.
     """
+    from minplustree._floattext import json_values
+
     head = json.dumps({"k_max": m.k_max, "level": m.level, "p_plus": m.p_plus}, sort_keys=True)
     with _text_target(out) as fh:
         fh.write(head[:-1] + ', "probs": [')
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(_json_values, *_blocks(m.k_max + 1, m.probs))) as blocks:
+        with closing(_ordered_map(json_values, *_blocks(m.k_max + 1, m.probs))) as blocks:
             for text in blocks:
                 fh.write(text)
         fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
-
-
-def _csv_rows(lo: int, probs: np.ndarray, surv: np.ndarray) -> str:
-    """The CSV rows k = lo, lo + 1, ... of the pmf and survival slices."""
-    rows = zip(range(lo, lo + probs.size), probs.tolist(), surv.tolist())
-    return "".join([f"{k},{x!r},{y!r}\n" for k, x, y in rows])
-
-
-def _json_values(lo: int, probs: np.ndarray) -> str:
-    """The ``probs`` list entries from k = lo on, comma-led unless k = 1."""
-    values = ", ".join(map(float.__repr__, probs.tolist()))
-    return values if lo == 1 else ", " + values
 
 
 def _blocks(end: int, *columns: np.ndarray) -> list:
@@ -663,13 +655,16 @@ def _blocks(end: int, *columns: np.ndarray) -> list:
 def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
     """``map(fn, *iterables)``, on forked worker processes where that is safe.
 
-    ``float.__repr__`` and numpy's small calls hold the interpreter lock, so
-    threads leave CPUs idle.  When there are two calls or more, more than one
-    CPU is usable, the platform can fork, and no other thread runs (forking
-    a threaded process is unsafe), the calls go to a pool of forked
-    processes, one per usable CPU up to one per call, with at most two calls
-    per worker in flight, and the results come back in call order.
-    Otherwise this process makes each call in turn.
+    A writer's block of text is a few hundred numpy calls on 8192 values and
+    a pass of ``bytes.translate``, which hold the interpreter lock for most
+    of their time: two threads format the CSV of a 10^6-row level slower
+    than one thread, and two processes in about two thirds of its time.
+    When there are two calls or more, more than one CPU is usable, the
+    platform can fork, and no other thread runs (forking a threaded process
+    is unsafe), the calls go to a pool of forked processes, one per usable
+    CPU up to one per call, with at most two calls per worker in flight, and
+    the results come back in call order.  Otherwise this process makes each
+    call in turn.
 
     Close the generator when stopping early, so that the pool is shut down
     and its workers joined.
@@ -692,17 +687,6 @@ def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
                     yield pending.popleft().result()
             return
     yield from (fn(*args) for args in calls)
-
-
-def mass_function_from_json(d: dict) -> MassFunction:
-    probs = np.zeros(int(d["k_max"]) + 1)
-    probs[1:] = np.asarray(d["probs"], dtype=float)
-    return MassFunction(
-        probs=probs,
-        tail_mass=float(d["tail_mass"]),
-        level=int(d["level"]),
-        p_plus=float(d["p_plus"]),
-    )
 
 
 @contextmanager

@@ -19,7 +19,6 @@ from minplustree.distribution import (
     SurvivalCurve,
     TruncationPolicy,
     evolve,
-    mass_function_from_json,
     moments,
     point_mass_initial,
     step_pmf,
@@ -704,9 +703,19 @@ def test_json_writer_memory_bounded_by_block(tmp_path):
     assert peak <= 32 * m.k_max
 
 
+def _mass_function(d):
+    """The mass function a ``write_distribution_json`` document describes."""
+    probs = np.zeros(d["k_max"] + 1)
+    probs[1:] = d["probs"]
+    return MassFunction(probs=probs, tail_mass=d["tail_mass"], level=d["level"], p_plus=d["p_plus"])
+
+
 def test_json_roundtrip():
     m = evolve(6, 0.4, TruncationPolicy(k_max=16))
-    back = mass_function_from_json(m.to_json_dict())
+    buf = io.StringIO()
+    write_distribution_json(m, buf)
+    buf.seek(0)
+    back = _mass_function(json.load(buf))
     np.testing.assert_array_equal(back.probs, m.probs)
     assert back.tail_mass == m.tail_mass
     assert back.level == m.level and back.p_plus == m.p_plus
@@ -716,6 +725,6 @@ def test_json_rejects_nan():
     d = evolve(3, 0.5, TruncationPolicy(k_max=4)).to_json_dict()
     bad_entry = dict(d, probs=[d["probs"][0], math.nan] + d["probs"][2:])
     with pytest.raises(ValueError):
-        mass_function_from_json(json.loads(json.dumps(bad_entry)))
+        _mass_function(json.loads(json.dumps(bad_entry)))
     with pytest.raises(ValueError):
-        mass_function_from_json(dict(d, tail_mass=math.nan))
+        _mass_function(dict(d, tail_mass=math.nan))

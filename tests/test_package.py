@@ -19,9 +19,18 @@ def test_all_names_resolve():
 
 @pytest.fixture(scope="module")
 def cli_import_modules():
-    """The modules a fresh interpreter holds after ``import minplustree.cli``."""
+    """The modules a fresh interpreter holds after ``import minplustree.cli``,
+    then the modules that importing the float formatter adds beside itself and
+    whether that left the formatter's tables built."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    code = "import json, sys, minplustree.cli\nprint(json.dumps(sorted(sys.modules)))"
+    code = (
+        "import json, sys, minplustree.cli\n"
+        "cli = sorted(sys.modules)\n"
+        "from minplustree import _floattext\n"
+        "added = sorted(set(sys.modules) - set(cli) - {'minplustree._floattext'})\n"
+        "built = _floattext._tables.cache_info().currsize > 0\n"
+        "print(json.dumps([cli, added, built]))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -30,11 +39,21 @@ def cli_import_modules():
 
 def test_cli_import_loads_no_scipy(cli_import_modules):
     # scipy costs over a second of import, and the library never uses it
-    assert not any(m == "scipy" or m.startswith("scipy.") for m in cli_import_modules)
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in cli_import_modules[0])
 
 
 def test_cli_import_loads_no_process_pool(cli_import_modules):
     # the distribution writers import these only when they fork workers
-    assert "minplustree.distribution" in cli_import_modules
-    assert "multiprocessing" not in cli_import_modules
-    assert "concurrent.futures.process" not in cli_import_modules
+    cli = cli_import_modules[0]
+    assert "minplustree.distribution" in cli
+    assert "multiprocessing" not in cli
+    assert "concurrent.futures.process" not in cli
+
+
+def test_cli_import_leaves_float_formatter_unloaded(cli_import_modules):
+    # the writers import the formatter; it imports nothing more and builds its
+    # tables on first use, so start-up pays for none of it
+    cli, added, built = cli_import_modules
+    assert "minplustree._floattext" not in cli
+    assert added == []
+    assert not built
