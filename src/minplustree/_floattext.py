@@ -85,11 +85,6 @@ def _tables() -> _Tables:
     )
 
 
-def _flog10pow2(e):
-    """floor(log10(2^e)) for |e| <= 1700."""
-    return (e * 661971961083) >> 41
-
-
 def _flog2pow10(e):
     """floor(log2(10^e)) for |e| <= 1233."""
     return (e * 913124641741) >> 38
@@ -135,12 +130,13 @@ def _shortest(bits):
     c = t | _U(1 << 52)
     # the lower neighbour is nearer when c is a power of two above the subnormals
     irregular = (t == 0) & (bq > 1)
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
     h = (q + _flog2pow10(-k) + 2).astype(_U)
     i = k - _K_MIN
     g = [a[i] for a in _tables().g]
     cb = c << _U(2)
     vb = _rop(g, cb << h)
+    # the rounding interval's ends, halfway to the neighbours, belong to it iff c is even
     vbl = _rop(g, (cb - _U(2) + irregular) << h) + (c & _U(1))
     vbr = _rop(g, (cb + _U(2)) << h) - (c & _U(1))
     s = vb >> _U(2)
@@ -168,6 +164,7 @@ def _fields(x: np.ndarray, sep: bytes, out: np.ndarray) -> None:
 
 
 def _chunk_fields(x: np.ndarray, sep: bytes) -> list:
+    """The four words of each value's field, for at most ``_CHUNK`` values."""
     t = _tables()
     bits = x.view(_U)
     f, k = _shortest(bits)
@@ -200,6 +197,8 @@ def _chunk_fields(x: np.ndarray, sep: bytes) -> list:
     pos = ~expo & (decpt > 0)
     several = ((digits[0] >> _U(8)) | digits[1] | digits[2]) != 0
     shown = pos * (decpt + 1)  # 1e15 shows 16 digits, then .0
+    # the point follows the first digit in exponent form (unless it is the only
+    # one) and decpt digits in positional form; 0.001 has it in its prefix
     p = _NONE - expo * several * (_NONE - 1) - pos * (_NONE - decpt)
     for j in range(3):
         digits[j] |= t.zeros[j][shown]
@@ -256,5 +255,5 @@ def json_values(lo: int, probs: np.ndarray) -> str:
     rows = np.empty((probs.size, 4), dtype=_U)
     _fields(probs, b", ", rows)
     if lo == 1:
-        rows[0, 0] &= ~_U(0xFFFF)
+        rows[:1, 0] &= ~_U(0xFFFF)  # the first entry has no separator
     return _text(rows)

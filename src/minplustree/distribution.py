@@ -655,10 +655,11 @@ def _blocks(end: int, *columns: np.ndarray) -> list:
 def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
     """``map(fn, *iterables)``, on forked worker processes where that is safe.
 
-    A writer's block of text is a few hundred numpy calls on 8192 values and
-    a pass of ``bytes.translate``, which hold the interpreter lock for most
-    of their time: two threads format the CSV of a 10^6-row level slower
-    than one thread, and two processes in about two thirds of its time.
+    A writer's block of text is a few hundred numpy calls on a few thousand
+    values each and a pass of ``bytes.translate``, which hold the
+    interpreter lock for most of their time: two threads format the CSV of
+    a 10^6-row level slower than one thread, and two processes in about two
+    thirds of its time.
     When there are two calls or more, more than one CPU is usable, the
     platform can fork, and no other thread runs (forking a threaded process
     is unsafe), the calls go to a pool of forked processes, one per usable
