@@ -203,10 +203,8 @@ def _chunk_fields(x: np.ndarray, sep: bytes) -> list:
     for j in range(3):
         digits[j] |= t.zeros[j][shown]
     after = [digits[0] << _U(8)] + [digits[j] << _U(8) | digits[j - 1] >> _U(56) for j in (1, 2)]
-    words = [
-        _text_int(sep)
-        | (t.prefix[~(expo | pos) * (2 - decpt)] | (bits >> _U(63)) * _U(ord("-"))) << _U(8 * len(sep))
-    ]
+    sign = (bits >> _U(63)) * _U(ord("-"))
+    words = [_text_int(sep) | (t.prefix[~(expo | pos) * (2 - decpt)] | sign) << _U(8 * len(sep))]
     words += [digits[j] & t.keep[j][p] | after[j] & t.moved[j][p] | t.point[j][p] for j in range(3)]
     words[3] |= t.exps[expo * (decpt + 324)]
     exponent = (bits >> _U(52)) & _U(0x7FF)

@@ -7,8 +7,8 @@ from minplustree.distribution import _ordered_map
 
 
 def _mismatch(x):
-    """The first value of ``x`` that ``json_values`` writes unlike ``float.__repr__``
-    with what it wrote, or None."""
+    """The first value of ``x`` that ``json_values`` writes unlike ``float.__repr__``,
+    in hex, and the text written for it; None if there is none."""
     got = _floattext.json_values(1, x)
     if got == ", ".join(map(float.__repr__, x.tolist())):
         return None
@@ -22,7 +22,7 @@ def test_matches_repr_on_random_bit_patterns():
     bits = np.random.default_rng(18).integers(0, 2**64, 1_000_000, dtype=np.uint64)
     x = bits.view(float)
     x = x[np.isfinite(x)]  # every exponent, both signs, subnormals too
-    # repr takes 1.5-3 us a value: spread the slices over the usable CPUs
+    # float.__repr__ takes microseconds a value: spread the slices over the usable CPUs
     assert [m for m in _ordered_map(_mismatch, np.array_split(x, 8)) if m is not None] == []
 
 
@@ -30,14 +30,15 @@ def test_matches_repr_on_edge_values():
     integers = np.arange(100_001, dtype=float)
     # the powers of two include the lowest of each binade, whose lower neighbour
     # is nearer (the irregular spacing)
-    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = [float(f"1e{e}") for e in range(-323, 309)]
     edges = [
         0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
         2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e15, 1e16, 9999999999999998.0, 1e22, 1e23,
         1e-4, 9.999999999999999e-05, 0.1, 0.3, 2 / 3, 123.456, 1e-5,
         float("inf"), float("nan"),
     ]
-    values = np.concatenate([integers, powers, edges])
+    values = np.concatenate([integers, twos, tens, edges])
     assert _mismatch(np.concatenate([values, -values])) is None
 
 
@@ -45,5 +46,6 @@ def test_csv_rows_match_repr_rows_across_digit_counts():
     x = np.random.default_rng(5).random(40) ** 30  # positional and exponent forms
     x[::7] = 0.0
     for lo in (1, 9_990, 99_999_990, 10**16 - 20):
-        want = "".join(f"{k},{a!r},{b!r}\n" for k, a, b in zip(range(lo, lo + 40), x.tolist(), x[::-1].tolist()))
+        rows = zip(range(lo, lo + 40), x.tolist(), x[::-1].tolist())
+        want = "".join(f"{k},{a!r},{b!r}\n" for k, a, b in rows)
         assert _floattext.csv_rows(lo, x, x[::-1]) == want
