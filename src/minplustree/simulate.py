@@ -3,20 +3,24 @@
 Sampling reduces the tree one level at a time on a block of subtrees: a
 block holds ``rows`` samples of a height-``h`` subtree, position-major, so
 each level pairs the two contiguous halves of the block and writes the
-parents in place with ``min(a, b) + plus * max(a, b)``.  Values are the
+parents in place with ``min(a, b) + plus * max(a, b)``.  The leaves are all
+1, so a height-4 subtree's root is a function of its 15 plus/min choices
+alone: the bottom ``min(h, 4)`` levels are one lookup per subtree in a
+table of every choice pattern, built on first use.  Values are the
 narrowest unsigned type that holds ``2^(depth-1)`` (uint16 up to depth 16),
-and ``rows`` keeps the leaf block within ``_BLOCK_BYTES``, so memory is
-bounded by that budget whatever the sample count.  Trees deeper than the
-block combine their ``2^(depth-1-h)`` subtree roots with a post-order stack
-of at most ``depth - h`` pending rows.
+and ``rows`` keeps the arrays a block materializes within ``_BLOCK_BYTES``,
+so memory is bounded by that budget whatever the sample count.  Trees
+deeper than the block combine their ``2^(depth-1-h)`` subtree roots with a
+post-order stack of at most ``depth - h`` pending rows.
 
 Each plus/min choice reads fresh random bits and compares them lazily with
 the binary expansion of ``p`` (every float is a dyadic rational), so
 P(plus) = p exactly, with no rounding of ``p`` to a 32- or 53-bit grid.
 Bits come 64 to a raw word of the counter-based Philox generator, one word
 per 64 nodes for each binary digit of ``p``, until no node of the block is
-undecided: one bit decides each node at p = 1/2, p in {0, 1} draws none,
-and other p take about log2 of the block's node count.  The generator is
+undecided: at p = 1/2 a 15-node subtree takes 16 bits (the 16th is drawn
+and ignored) and a node above it one bit, p in {0, 1} draws none, and
+other p take about log2 of the block's node count.  The generator is
 seeded through ``numpy``'s SeedSequence spawning, which makes
 worker substreams provably non-overlapping and runs reproducible across
 platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits, each
@@ -26,6 +30,7 @@ before anything is allocated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,9 +42,12 @@ from . import distribution
 from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
-_BLOCK_BYTES = 1 << 21              # leaf block of one level-synchronous pass
-_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: minutes to tens of minutes of a core
-_SUBSTREAM_LEAVES = 1 << 17         # set-up of one substream (40-170 us) in leaf visits (~1 ns)
+_BLOCK_BYTES = 1 << 21              # arrays one block of subtrees materializes
+_MIN_ROWS = 64                      # rows kept by shorter subtrees, down to height 4
+_TABLE_HEIGHT = 4                   # bottom levels read from one table entry per subtree
+_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: a minute to tens of minutes of a core
+# set-up of one substream (55-150 us) in leaf visits (0.3 ns at p = 1/2, 0.5-4 ns at other p)
+_SUBSTREAM_LEAVES = 1 << 17
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
@@ -108,11 +116,30 @@ def _value_dtype(depth: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(2 ** (depth - 1)), np.uint16)
 
 
+def _row_bytes(h: int, itemsize: int) -> int:
+    """Peak bytes one row of a height-h block materializes; its leaves never are.
+
+    Per height-4 subtree: 16 plus bits and about one for the node above it,
+    held three times while they are drawn (the bits, the undecided nodes
+    and a fresh draw); the table index, which np.take casts to intp; the
+    subtree's root; and half a value of scratch for the parents above.
+    """
+    subtrees = 1 << max(h - _TABLE_HEIGHT, 0)
+    return 3 * 17 * subtrees // 8 + subtrees * (8 + itemsize) + subtrees // 2 * itemsize
+
+
 def _block_shape(depth: int) -> Tuple[int, int]:
-    """Subtree height h and row count of a block of at most ``_BLOCK_BYTES``."""
-    elements = _BLOCK_BYTES // _value_dtype(depth).itemsize
-    h = min(depth - 1, elements.bit_length() - 1)
-    return h, max(1, elements >> h)
+    """Subtree height h and row count of a block of at most ``_BLOCK_BYTES``.
+
+    h is the whole tree's height when ``_MIN_ROWS`` rows of it fit, and
+    otherwise the tallest that does, but at least 4, below which a row
+    costs no less; the rows fill the budget.
+    """
+    itemsize = _value_dtype(depth).itemsize
+    h = depth - 1
+    while h > _TABLE_HEIGHT and _MIN_ROWS * _row_bytes(h, itemsize) > _BLOCK_BYTES:
+        h -= 1
+    return h, max(1, _BLOCK_BYTES // _row_bytes(h, itemsize))
 
 
 _Law = Tuple[int, Tuple[int, ...]]  # integer part and binary fraction digits of p
@@ -125,25 +152,23 @@ def _binary_digits(p: float) -> _Law:
     return m >> size, tuple((m >> (size - i)) & 1 for i in range(1, size + 1))
 
 
-def _plus_masks(sizes: List[int], law: _Law,
-                bitgen: np.random.BitGenerator) -> Iterator[np.ndarray]:
-    """Independent 0/1 plus indicators with P(1) = p exactly: one uint8 mask per size.
+def _plus_words(count: int, law: _Law, bitgen: np.random.BitGenerator) -> np.ndarray:
+    """``count`` little-endian words of independent plus bits with P(1) = p exactly.
 
     Node j reads fresh bits u_1, u_2, ... and stops at the first i with
     u_i == d_i, the i-th binary digit of p; it is a plus node when that
     digit is 1, so P(plus) = sum over d_i = 1 of 2^-i = p.  A node that
     matches no digit is a plus node only when p = 1 (integer part 1, no
     digits).  Nodes are packed 64 to a Philox word, and each digit round
-    draws one word for every word until no node is undecided.  All bits
-    are drawn when the first mask is requested, and each mask is unpacked
-    when it is requested.
+    draws one word for every word until no node is undecided.
     """
     whole, digits = law
-    word_sizes = [(n + 63) // 64 for n in sizes]
-    plus = np.full(sum(word_sizes), ~np.uint64(0) if whole else np.uint64(0))
-    undecided = np.full(plus.size, ~np.uint64(0))
+    if digits == (1,):  # p = 1/2: every node decides on its first bit
+        return bitgen.random_raw(count).astype("<u8", copy=False)
+    plus = np.full(count, ~np.uint64(0) if whole else np.uint64(0))
+    undecided = np.full(count, ~np.uint64(0))
     for d in digits:
-        stop = bitgen.random_raw(undecided.size)
+        stop = bitgen.random_raw(count)
         if not d:
             np.invert(stop, out=stop)
         stop &= undecided
@@ -152,8 +177,20 @@ def _plus_masks(sizes: List[int], law: _Law,
         undecided ^= stop
         if not undecided.any():
             break
-    # little-endian bytes give every platform the same node-to-bit order
-    packed = plus.astype("<u8", copy=False).view(np.uint8)
+    # little-endian words give every platform the same node-to-bit order
+    return plus.astype("<u8", copy=False)
+
+
+def _plus_masks(sizes: List[int], law: _Law,
+                bitgen: np.random.BitGenerator) -> Iterator[np.ndarray]:
+    """0/1 plus indicators with P(1) = p exactly: one uint8 mask per size.
+
+    The words of all masks are drawn when the first mask is requested, each
+    mask starting on a word of its own, and each mask is unpacked when it
+    is requested.
+    """
+    word_sizes = [(n + 63) // 64 for n in sizes]
+    packed = _plus_words(sum(word_sizes), law, bitgen).view(np.uint8)
     start = 0
     for n, words in zip(sizes, word_sizes):
         yield np.unpackbits(packed[8 * start : 8 * (start + words)], count=n)
@@ -170,48 +207,79 @@ def _combine(a: np.ndarray, b: np.ndarray, plus: np.ndarray,
     return a
 
 
+@functools.cache
+def _subtree_table(t: int) -> np.ndarray:
+    """Root values of a height-t subtree of unit leaves, indexed by its plus bits.
+
+    Bit j of the index decides the subtree's j-th node in post order: the
+    left subtree's 2^(t-1) - 1 nodes, then the right subtree's, then the
+    root (bit 2^t - 2).  Each table combines two entries of the table one
+    level lower for every bit pattern; it is read-only because every
+    sampler shares it.
+    """
+    if t == 0:
+        return np.ones(1, dtype=np.uint16)
+    below = _subtree_table(t - 1)
+    k = (1 << (t - 1)) - 1                  # nodes of each child subtree
+    index = np.arange(1 << (2 * k + 1), dtype=np.uint16)
+    child = (1 << k) - 1
+    left, right = below[index & child], below[(index >> k) & child]
+    table = _combine(left, right, (index >> (2 * k)).astype(np.uint8))
+    table.flags.writeable = False
+    return table
+
+
 class _Sampler:
     """Root values of one random stream, drawn a block of at most ``rows`` at a time.
 
-    Height-h subtrees are reduced level by level on a (2^h, n) block; the
-    2^(depth-1-h) subtree roots are merged in post order, and after pushing
-    root number t the number of merges equals the number of trailing one
-    bits of t, so the stack holds at most depth - h rows.  The block's
-    buffers are kept across calls: allocating them afresh for each block
-    page-faulted them in again, which took as long as the reduction.
+    Height-h subtrees are reduced on a (2^h, n) block whose leaves are never
+    stored: each height-t subtree of it, t = min(h, 4), is one lookup in
+    :func:`_subtree_table` indexed by a 16-bit field of plus bits (the bits
+    past the subtree's 2^t - 1 nodes are drawn and ignored), and the h - t
+    levels above are reduced level by level.  The 2^(depth-1-h) subtree
+    roots are merged in post order, and after pushing root number s the
+    number of merges equals the number of trailing one bits of s, so the
+    stack holds at most depth - h rows.  The block's buffers are kept
+    across calls: allocating them afresh for each block page-faulted them
+    in again, which took as long as the reduction.
     """
 
     def __init__(self, depth: int, p_plus: float, rows: int, bitgen: np.random.BitGenerator):
         self.depth = depth
         self.dtype = _value_dtype(depth)
         self.h = _block_shape(depth)[0]
+        self.t = min(self.h, _TABLE_HEIGHT)
         self.law = _binary_digits(p_plus)
         self.bitgen = bitgen
-        parents = (rows << self.h) // 2
-        self.values = np.empty(parents, dtype=self.dtype)
-        self.hi = np.empty(parents // 2, dtype=self.dtype)
+        self.table = _subtree_table(self.t).astype(self.dtype, copy=False)
+        roots = rows << (self.h - self.t)
+        self.values = np.empty(roots, dtype=self.dtype)
+        self.hi = np.empty(roots // 2, dtype=self.dtype)
 
     def sample(self, n: int) -> np.ndarray:
         """n independent root values, n at most ``rows``."""
         if self.depth == 1:
             return np.ones(n, dtype=self.dtype)
         stack: List[np.ndarray] = []
-        for t in range(1 << (self.depth - 1 - self.h)):
+        for s in range(1 << (self.depth - 1 - self.h)):
             v = self._subtree_roots(n)
-            while t & 1:
+            while s & 1:
                 v = _combine(stack.pop(), v, next(_plus_masks([n], self.law, self.bitgen)))
-                t >>= 1
+                s >>= 1
             stack.append(v)
         return stack[0]
 
     def _subtree_roots(self, n: int) -> np.ndarray:
-        # Position-major block: the parents of level i are the first and
-        # second halves of level i - 1 paired entrywise.  The leaves are all
-        # ones, so the first level is 1 + plus.
-        sizes = [n << level for level in range(self.h - 1, -1, -1)]
-        masks = _plus_masks(sizes, self.law, self.bitgen)
-        v = np.add(next(masks), 1, out=self.values[: sizes[0]])
-        for c, plus in zip(sizes[1:], masks):
+        # Position-major block: entry i * n + r holds row r's subtree i, and
+        # the parents of a level are its first and second halves paired
+        # entrywise.  Height-t subtree i reads 16-bit field i of the words.
+        roots = n << (self.h - self.t)
+        fields = _plus_words((roots + 3) // 4, self.law, self.bitgen).view("<u2")[:roots]
+        fields &= (1 << ((1 << self.t) - 1)) - 1
+        # the indices are in range; "clip" writes to out directly, "raise" buffers it
+        v = np.take(self.table, fields, out=self.values[:roots], mode="clip")
+        sizes = [n << level for level in range(self.h - self.t - 1, -1, -1)]
+        for c, plus in zip(sizes, _plus_masks(sizes, self.law, self.bitgen)):
             v = _combine(v[:c], v[c:], plus, self.hi[:c])
         return v.copy()
 

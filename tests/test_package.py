@@ -20,8 +20,9 @@ def test_all_names_resolve():
 @pytest.fixture(scope="module")
 def cli_import_modules():
     """The modules a fresh interpreter holds after ``import minplustree.cli``,
-    then the modules that importing the float formatter adds beside itself and
-    whether that left the formatter's tables built."""
+    then the modules that importing the float formatter adds beside itself,
+    whether that left the formatter's tables built, and whether the
+    sampler's subtree table was built."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     code = (
         "import json, sys, minplustree.cli\n"
@@ -29,7 +30,8 @@ def cli_import_modules():
         "from minplustree import _floattext\n"
         "added = sorted(set(sys.modules) - set(cli) - {'minplustree._floattext'})\n"
         "built = _floattext._tables.cache_info().currsize > 0\n"
-        "print(json.dumps([cli, added, built]))"
+        "table = minplustree.cli.simulate._subtree_table.cache_info().currsize > 0\n"
+        "print(json.dumps([cli, added, built, table]))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -53,7 +55,13 @@ def test_cli_import_loads_no_process_pool(cli_import_modules):
 def test_cli_import_leaves_float_formatter_unloaded(cli_import_modules):
     # the writers import the formatter; it imports nothing more and builds its
     # tables on first use, so start-up pays for none of it
-    cli, added, built = cli_import_modules
+    cli, added, built, _ = cli_import_modules
     assert "minplustree._floattext" not in cli
     assert added == []
     assert not built
+
+
+def test_cli_import_leaves_subtree_table_unbuilt(cli_import_modules):
+    # the sampler builds its table of subtree roots on first use
+    assert "minplustree.simulate" in cli_import_modules[0]
+    assert not cli_import_modules[3]

@@ -129,13 +129,78 @@ def test_run_matches_exact_off_half(p):
 
 
 def test_deep_tree_stack(monkeypatch):
-    # a 4-element block makes depth 5 four height-2 subtrees merged on the stack
+    # a block of one row makes depth 7 four height-4 subtrees merged on the stack
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8)
-    assert run(SimConfig(depth=5, p_plus=1.0, n_samples=100, seed=2)).counts == {16: 100}
-    summary = run(SimConfig(depth=5, p_plus=0.5, n_samples=4_000, seed=2))
-    rep = compare_to_exact(summary, evolve(5, 0.5, TruncationPolicy(k_max=16)))
+    assert simulate._block_shape(7) == (4, 1)
+    assert run(SimConfig(depth=7, p_plus=1.0, n_samples=100, seed=2)).counts == {64: 100}
+    summary = run(SimConfig(depth=7, p_plus=0.5, n_samples=4_000, seed=2))
+    rep = compare_to_exact(summary, evolve(7, 0.5, TruncationPolicy(k_max=64)))
     # DKW at level 0.001 for n = 4000 gives 0.031
     assert rep.max_abs_cdf_gap < 0.031
+    assert rep.chi2_pvalue > 0.001
+
+
+def _post_order_root(t, bits):
+    """Root of a height-t subtree of unit leaves whose j-th node in post order
+    (left subtree, right subtree, root) adds when bit j of ``bits`` is set."""
+    def reduce(height, j):
+        if height == 0:
+            return 1, j
+        a, j = reduce(height - 1, j)
+        b, j = reduce(height - 1, j)
+        return (a + b if bits >> j & 1 else min(a, b)), j + 1
+
+    return reduce(t, 0)[0]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_subtree_table_is_the_exact_law(t):
+    table = simulate._subtree_table(t)
+    patterns = 2 ** (2**t - 1)
+    assert table.size == patterns and not table.flags.writeable
+    # every pattern once is the law at p = 1/2, times the pattern count
+    law = enumerate_pmf(t + 1, Fraction(1, 2))
+    assert Counter(table.tolist()) == {k: w * patterns for k, w in law.items()}
+    assert table.tolist() == [_post_order_root(t, bits) for bits in range(patterns)]
+
+
+def _assert_criterion_3(depth, p, seed):
+    exact = evolve(depth, p, TruncationPolicy(k_max=2 ** (depth - 1)))
+    summary = run(SimConfig(depth=depth, p_plus=p, n_samples=1_000_000, seed=seed, workers=2))
+    rep = compare_to_exact(summary, exact)
+    assert rep.max_abs_cdf_gap < 0.002
+    assert rep.chi2_pvalue > 0.001
+
+
+# depth 6 at p = 0.3 is test_run_matches_exact_off_half
+@pytest.mark.parametrize("depth, p", [(d, p) for d in range(2, 7) for p in (0.3, 0.5)
+                                      if (d, p) != (6, 0.3)])
+def test_run_matches_exact_around_table_height(depth, p):
+    # whole trees in one block of height 1-3 (below the table's 4), 4 and 5
+    assert simulate._block_shape(depth)[0] == depth - 1
+    _assert_criterion_3(depth, p, seed=depth)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("depth, h", [(6, 4), (7, 5)])
+def test_stack_matches_exact(monkeypatch, depth, h, p):
+    # a budget just short of 2^14 rows of height h + 1 gives blocks of height
+    # h, whose roots merge on the stack
+    monkeypatch.setattr(simulate, "_MIN_ROWS", 1 << 14)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", (1 << 14) * simulate._row_bytes(h + 1, 2) - 1)
+    assert simulate._block_shape(depth)[0] == h
+    _assert_criterion_3(depth, p, seed=depth + 10)
+
+
+def test_run_matches_exact_in_uint32():
+    # depth 17 is the shallowest whose root values need uint32
+    assert simulate._value_dtype(17) == np.uint32
+    n = 50_000
+    exact = evolve(17, 0.5, TruncationPolicy(k_max=2**16))
+    summary = run(SimConfig(depth=17, p_plus=0.5, n_samples=n, seed=17, workers=2))
+    rep = compare_to_exact(summary, exact)
+    # DKW at level 0.001 gives 0.0087; a million samples would take half a minute
+    assert rep.max_abs_cdf_gap < math.sqrt(math.log(2 / 0.001) / (2 * n))
     assert rep.chi2_pvalue > 0.001
 
 
