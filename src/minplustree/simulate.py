@@ -163,7 +163,7 @@ def _plus_words(count: int, law: _Law, bitgen: np.random.BitGenerator) -> np.nda
     draws one word for every word until no node is undecided.
     """
     whole, digits = law
-    if digits == (1,):  # p = 1/2: every node decides on its first bit
+    if digits == (1,):  # p = 1/2: each node's first bit decides it, as the loop would
         return bitgen.random_raw(count).astype("<u8", copy=False)
     plus = np.full(count, ~np.uint64(0) if whole else np.uint64(0))
     undecided = np.full(count, ~np.uint64(0))
