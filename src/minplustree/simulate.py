@@ -17,10 +17,10 @@ Each plus/min choice reads fresh random bits and compares them lazily with
 the binary expansion of ``p`` (every float is a dyadic rational), so
 P(plus) = p exactly, with no rounding of ``p`` to a 32- or 53-bit grid.
 Bits come 64 to a raw word of the counter-based Philox generator, one word
-per 64 nodes for each binary digit of ``p``, until no node of the block is
-undecided: at p = 1/2 a 15-node subtree takes 16 bits (the 16th is drawn
-and ignored) and a node above it one bit, p in {0, 1} draws none, and
-other p take about log2 of the block's node count.  The generator is
+per 64 nodes for each binary digit of ``p``, until none of the word's
+nodes is undecided: at p = 1/2 a 15-node subtree takes 16 bits (the 16th
+is drawn and ignored) and a node above it one bit, p in {0, 1} draws
+none, and other p take about 7 words per 64 nodes.  The generator is
 seeded through ``numpy``'s SeedSequence spawning, which makes
 worker substreams provably non-overlapping and runs reproducible across
 platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits, each
@@ -43,10 +43,9 @@ from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # arrays one block of subtrees materializes
-_MIN_ROWS = 64                      # rows kept by shorter subtrees, down to height 4
 _TABLE_HEIGHT = 4                   # bottom levels read from one table entry per subtree
 _MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: a minute to tens of minutes of a core
-# set-up of one substream (55-150 us) in leaf visits (0.3 ns at p = 1/2, 0.5-4 ns at other p)
+# set-up of one substream (55-150 us) in leaf visits (0.3-0.7 ns at p = 1/2, 1-3.5 ns at other p)
 _SUBSTREAM_LEAVES = 1 << 17
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -119,10 +118,13 @@ def _value_dtype(depth: int) -> np.dtype:
 def _row_bytes(h: int, itemsize: int) -> int:
     """Peak bytes one row of a height-h block materializes; its leaves never are.
 
-    Per height-4 subtree: 16 plus bits and about one for the node above it,
-    held three times while they are drawn (the bits, the undecided nodes
-    and a fresh draw); the table index, which np.take casts to intp; the
-    subtree's root; and half a value of scratch for the parents above.
+    Per height-4 subtree, 16 plus bits and about one for the node above it
+    are drawn and then looked up.  Drawing holds up to about 4.4 copies of
+    the bits (the words, the undecided bits, two draws and, at p != 1/2,
+    the indices of the undecided words); the lookup holds one copy and the
+    index np.take casts to intp.  Three copies and that index bound both.
+    Then the subtree's root, and half a value of scratch for the parents
+    above.
     """
     subtrees = 1 << max(h - _TABLE_HEIGHT, 0)
     return 3 * 17 * subtrees // 8 + subtrees * (8 + itemsize) + subtrees // 2 * itemsize
@@ -131,14 +133,14 @@ def _row_bytes(h: int, itemsize: int) -> int:
 def _block_shape(depth: int) -> Tuple[int, int]:
     """Subtree height h and row count of a block of at most ``_BLOCK_BYTES``.
 
-    h is the whole tree's height when ``_MIN_ROWS`` rows of it fit, and
-    otherwise the tallest that does, but at least 4, below which a row
-    costs no less; the rows fill the budget.
+    h is the tallest height whose row fits the budget, at most the whole
+    tree's and at least 4, below which a row costs no less; the rows fill
+    the budget.
     """
     itemsize = _value_dtype(depth).itemsize
-    h = depth - 1
-    while h > _TABLE_HEIGHT and _MIN_ROWS * _row_bytes(h, itemsize) > _BLOCK_BYTES:
-        h -= 1
+    h = min(depth - 1, _TABLE_HEIGHT)
+    while h < depth - 1 and _row_bytes(h + 1, itemsize) <= _BLOCK_BYTES:
+        h += 1
     return h, max(1, _BLOCK_BYTES // _row_bytes(h, itemsize))
 
 
@@ -160,23 +162,32 @@ def _plus_words(count: int, law: _Law, bitgen: np.random.BitGenerator) -> np.nda
     digit is 1, so P(plus) = sum over d_i = 1 of 2^-i = p.  A node that
     matches no digit is a plus node only when p = 1 (integer part 1, no
     digits).  Nodes are packed 64 to a Philox word, and each digit round
-    draws one word for every word until no node is undecided.
+    draws one word for every word that still holds an undecided node;
+    once a word is decided it is dropped from the rounds, so a word takes
+    about 7 draws at non-dyadic p however large ``count`` is.
     """
     whole, digits = law
     if digits == (1,):  # p = 1/2: each node's first bit decides it, as the loop would
         return bitgen.random_raw(count).astype("<u8", copy=False)
     plus = np.full(count, ~np.uint64(0) if whole else np.uint64(0))
     undecided = np.full(count, ~np.uint64(0))
+    live = None  # indices of the words in undecided, once some word is decided
     for d in digits:
-        stop = bitgen.random_raw(count)
+        stop = bitgen.random_raw(undecided.size)
         if not d:
             np.invert(stop, out=stop)
         stop &= undecided
-        if d:
-            plus |= stop
         undecided ^= stop
-        if not undecided.any():
-            break
+        if d and live is None:
+            plus |= stop
+        elif d:
+            plus[live] |= stop
+        open_words = undecided != 0
+        if not open_words.all():
+            live = np.flatnonzero(open_words) if live is None else live[open_words]
+            undecided = undecided[open_words]
+            if not undecided.size:
+                break
     # little-endian words give every platform the same node-to-bit order
     return plus.astype("<u8", copy=False)
 

@@ -74,6 +74,27 @@ def test_plus_masks_one_bit_per_node_at_half():
     assert rng.bit_generator.random_raw() == fresh.random_raw()
 
 
+class _CountingBitGenerator:
+    def __init__(self, bitgen):
+        self.bitgen, self.drawn = bitgen, 0
+
+    def random_raw(self, size):
+        self.drawn += size
+        return self.bitgen.random_raw(size)
+
+
+def test_plus_words_draw_only_undecided_words():
+    # a word leaves the digit rounds once its 64 nodes are decided: each node
+    # stops with probability 1/2 per round, so a word is drawn
+    # sum_r 1 - (1 - 2^-r)^64 = 7.34 times on average, not once per round
+    count = 1 << 14
+    bitgen = _CountingBitGenerator(_rng(8).bit_generator)
+    words = simulate._plus_words(count, simulate._binary_digits(0.3), bitgen)
+    assert 7.2 * count < bitgen.drawn < 7.5 * count
+    bits = np.unpackbits(words.view(np.uint8))
+    assert abs(bits.mean() - 0.3) < 5 * math.sqrt(0.21 / bits.size)
+
+
 def test_sample_one_depth3_frequencies():
     # enumeration gives (3, 2, 2, 1)/8; 3 sigma binomial tolerance at n = 20000
     oracle = enumerate_pmf(3, Fraction(1, 2))
@@ -164,9 +185,9 @@ def test_subtree_table_is_the_exact_law(t):
     assert table.tolist() == [_post_order_root(t, bits) for bits in range(patterns)]
 
 
-def _assert_criterion_3(depth, p, seed):
-    exact = evolve(depth, p, TruncationPolicy(k_max=2 ** (depth - 1)))
-    summary = run(SimConfig(depth=depth, p_plus=p, n_samples=1_000_000, seed=seed, workers=2))
+def _assert_criterion_3(summary):
+    depth = summary.depth
+    exact = evolve(depth, summary.p_plus, TruncationPolicy(k_max=2 ** (depth - 1)))
     rep = compare_to_exact(summary, exact)
     assert rep.max_abs_cdf_gap < 0.002
     assert rep.chi2_pvalue > 0.001
@@ -178,18 +199,23 @@ def _assert_criterion_3(depth, p, seed):
 def test_run_matches_exact_around_table_height(depth, p):
     # whole trees in one block of height 1-3 (below the table's 4), 4 and 5
     assert simulate._block_shape(depth)[0] == depth - 1
-    _assert_criterion_3(depth, p, seed=depth)
+    _assert_criterion_3(run(SimConfig(depth=depth, p_plus=p, n_samples=1_000_000,
+                                      seed=depth, workers=2)))
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
 @pytest.mark.parametrize("depth, h", [(6, 4), (7, 5)])
 def test_stack_matches_exact(monkeypatch, depth, h, p):
-    # a budget just short of 2^14 rows of height h + 1 gives blocks of height
-    # h, whose roots merge on the stack
-    monkeypatch.setattr(simulate, "_MIN_ROWS", 1 << 14)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", (1 << 14) * simulate._row_bytes(h + 1, 2) - 1)
+    # a budget just short of one row of height h + 1 gives blocks of height
+    # h, whose roots merge on the stack; each substream samples its whole
+    # share as one block, which run's budget would cut into rows of one
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", simulate._row_bytes(h + 1, 2) - 1)
     assert simulate._block_shape(depth)[0] == h
-    _assert_criterion_3(depth, p, seed=depth + 10)
+    n = 1_000_000
+    cfg = SimConfig(depth=depth, p_plus=p, n_samples=n, seed=depth + 10, workers=2)
+    counts = _spawned_counts(cfg)
+    _assert_criterion_3(EmpiricalSummary(counts=counts, n=n, mean_log=0.0, scaled_quantiles={},
+                                         depth=depth, p_plus=p))
 
 
 def test_run_matches_exact_in_uint32():
