@@ -44,7 +44,7 @@ from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # arrays one block of subtrees materializes
 _TABLE_HEIGHT = 4                   # bottom levels read from one table entry per subtree
-_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: a minute to tens of minutes of a core
+_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: 1.4 to 16 minutes of a core
 # set-up of one substream (55-150 us) in leaf visits (0.3-0.7 ns at p = 1/2, 1-3.5 ns at other p)
 _SUBSTREAM_LEAVES = 1 << 17
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
