@@ -153,14 +153,19 @@ def _survival_suffix(probs: np.ndarray, tail_mass: float) -> np.ndarray:
     return np.cumsum(probs[:0:-1])[::-1] + tail_mass
 
 
-def _clamp_probabilities(arr: np.ndarray) -> np.ndarray:
-    """Zero out tiny FFT round-off negatives; anything larger is a bug."""
-    lo = arr.min()
+def _clamp_probabilities(arr: np.ndarray) -> float:
+    """Zero out tiny FFT round-off negatives in place; anything larger is a bug.
+
+    Returns the smallest entry before clamping.  A negative one is the
+    transform's own round-off, which the positive entries carry too, so
+    :func:`_step_into` drops the top run of entries not above its magnitude.
+    """
+    lo = float(arr.min())
     if lo < _CLAMP_FLOOR:
         raise ArithmeticError(f"convolution round-off {lo:.3e} below {_CLAMP_FLOOR:.0e}")
     if lo < 0.0:
         np.clip(arr, 0.0, None, out=arr)
-    return arr
+    return lo
 
 
 @dataclass(frozen=True)
@@ -322,11 +327,14 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
     """Advance one level: p-mixture of self-convolution and pairwise minimum.
 
     The sum part is the self-convolution of the mass array, with anything
-    landing above the cap routed into the tail.  The min part is computed
-    through survival squares, P(min >= k) = P(X >= k)^2, with the lumped
-    tail treated as mass above the cap.  Normalization is preserved because
-    both parts conserve total mass by construction.  This is one
-    :func:`_step_into` on fresh arrays, the step :func:`evolve` takes.
+    landing above the cap routed into the tail.  Above the direct cutoff the
+    convolution is an FFT whose round-off reaches every entry; when it
+    leaves negative entries, the top run of entries not above the most
+    negative one's magnitude is noise, and the level ends below it.  The min
+    part is computed through survival squares, P(min >= k) = P(X >= k)^2,
+    with the lumped tail treated as mass above the cap.  The normalization
+    rescales away what the two parts lose to rounding and to that cut.  This
+    is one :func:`_step_into` on fresh arrays, the step :func:`evolve` takes.
     """
     cap = policy.cap_for(m.level + 1)
     probs = np.zeros(cap + 1)
@@ -341,7 +349,9 @@ class _ConvBlock:
     direct cutoff, in one allocation that a level loop keeps.
 
     The block is replaced only when a transform is longer than any before
-    it; shorter ones use its head.
+    it; shorter ones use its head.  A transform covers twice the support
+    window, which ends where the previous level's sum part rose above its
+    round-off, so the block follows the resolved mass, not the cap.
     """
 
     __slots__ = ("block",)
@@ -375,9 +385,15 @@ def _step_into(
     """Write the level after ``src`` (its mass array, lumped tail and
     :func:`_support_window`) into ``out``, which holds cap + 1 zeros.
 
-    Returns the new tail mass and the slots [lo, min(2 hi, cap)] that the
-    new level can reach from the window [lo, hi] (an empty range when there
-    are none).  Every pass but the normalization sum runs on those slots.
+    Returns the new tail mass and the slots [lo, top] that the new level
+    can reach from the window [lo, hi] (an empty range when there are none).
+    ``top`` is min(2 hi, cap), unless the self-convolution has negative
+    entries: their largest magnitude ``floor`` is the transform's round-off,
+    so the top run of entries not above it is dropped as noise, and ``top``
+    ends at the last entry above it, for both parts.  The dropped mass is
+    not lumped; the normalization rescales it away.  The direct convolution
+    has no negative entries, so below the cutoff nothing is dropped.
+    Every pass but the normalization sum runs on those slots.
     Each entry takes the IEEE operations, in the same order, of the
     full-length formula ``p * sum_in + (1 - p) * min_in``, with
     ``min_in[k] = s[k]^2 - s[k+1]^2`` over the survival ``s`` including the
@@ -405,9 +421,14 @@ def _step_into(
                 conv, scratch = block.self_convolve(seg)
             else:
                 conv = np.convolve(seg, seg)
-            _clamp_probabilities(conv)  # conv[j] is P(X1 + X2 = 2 lo + j)
+            floor = -_clamp_probabilities(conv)  # conv[j] is P(X1 + X2 = 2 lo + j)
+            if floor > 0.0:  # round-off of this size: the top run not above it is noise
+                conv = conv[: conv.size - int((conv[::-1] > floor).argmax())]
             count = top - 2 * lo + 1  # the slots of conv at or below the cap
             sum_tail = float(conv[max(count, 0) :].sum())
+            if count > conv.size:  # the sum part ends below the cap
+                count = conv.size
+                top = 2 * lo + count - 1
         if p < 1.0:
             # s[j] = P(X >= lo + j) for j = 0..w; s[w] is the tail alone
             s = np.empty(w + 1) if scratch is None else scratch[: w + 1]
@@ -416,7 +437,9 @@ def _step_into(
             np.add(s, tail_mass, out=s)
             np.multiply(s, s, out=s)
             min_tail = float(s[min(max(cap + 1, lo), hi + 1) - lo])
-            n = min(hi, cap) - lo + 1
+            # the min part stops at a cut top too: above it, P(min = k) <=
+            # 2 P(X = k) P(X >= k) lies far below the sum part's round-off
+            n = min(hi, top) - lo + 1
             if n > 0:
                 body = out[lo : lo + n]
                 np.subtract(s[:n], s[1 : n + 1], out=body)
@@ -587,12 +610,15 @@ class Moments(NamedTuple):
 def moments(m: MassFunction) -> Moments:
     """Truncated-support moments.
 
-    The lumped tail contributes at value ``k_max``.  Under a fixed cap the
-    tail is exactly P(X > k_max), so ``mean_x`` and ``mean_log_x`` are
-    certified lower bounds, and ``truncated`` flags ``tail_mass > 0``; under
-    the full support the tail is zero and they are exact.  A chain stepped
-    by hand under a cap that grows after mass was lumped loses that
-    guarantee.  ``var_log_x`` is a plain truncated moment.
+    The lumped tail contributes at value ``k_max``.  Under a fixed cap whose
+    windows stay within the direct cutoff the tail is P(X > k_max) up to
+    rounding, so ``mean_x`` and ``mean_log_x`` are lower bounds, and
+    ``truncated`` flags ``tail_mass > 0``; under the full support the tail
+    is zero and they are exact.  Above the cutoff they are lower bounds only
+    up to the FFT's absolute round-off, of order 1e-15 per entry and in the
+    tail (see :func:`step_pmf`).  A chain stepped by hand under a cap that
+    grows after mass was lumped loses the guarantee.  ``var_log_x`` is a
+    plain truncated moment.
     """
     k = np.arange(1, m.k_max + 1, dtype=float)
     w = m.probs[1:]

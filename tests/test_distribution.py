@@ -210,6 +210,7 @@ def _step_pmf_reference(m, policy):
 
     sum_in = np.zeros(cap + 1)
     sum_tail = 0.0
+    end = cap  # the last slot either part may fill
     if p > 0.0:
         t_in = m.tail_mass
         beyond = 0.0
@@ -217,8 +218,15 @@ def _step_pmf_reference(m, policy):
         if window is not None:
             lo, hi = window
             seg = m.probs[lo : hi + 1]
-            conv = _clamp_probabilities(_convolve(seg, seg))  # X1 + X2 on [2*lo, 2*hi]
-            take_hi = min(2 * hi, cap)
+            conv = _convolve(seg, seg)  # X1 + X2 on [2*lo, 2*hi]
+            floor = -_clamp_probabilities(conv)
+            if floor > 0.0:
+                # FFT round-off of size floor: drop the top run not above it,
+                # and end both parts where the sum part ends
+                last = int(np.flatnonzero(conv > floor)[-1])
+                conv = conv[: last + 1]
+                end = min(cap, 2 * lo + last)
+            take_hi = min(2 * hi, end)
             if take_hi >= 2 * lo:
                 sum_in[2 * lo : take_hi + 1] = conv[: take_hi - 2 * lo + 1]
                 beyond = float(conv[take_hi - 2 * lo + 1 :].sum())
@@ -236,7 +244,7 @@ def _step_pmf_reference(m, policy):
         if cap + 1 > m.k_max:
             s[m.k_max + 1 :] = m.tail_mass
         sq = s * s
-        min_in[1:] = sq[1 : cap + 1] - sq[2 : cap + 2]
+        min_in[1 : end + 1] = sq[1 : end + 1] - sq[2 : end + 2]
         min_tail = float(sq[cap + 1])
 
     probs = p * sum_in + (1.0 - p) * min_in
@@ -420,6 +428,31 @@ def test_fft_convolution_bitwise_matches_fftconvolve(size):
     np.testing.assert_array_equal(_convolve(other, seg), fftconvolve(other, seg))
 
 
+def _chain_levels(p, cap, levels):
+    """The fixed-cap chain's levels among ``levels``, as mass functions."""
+    chain = _levels(point_mass_initial(p), max(levels), TruncationPolicy(k_max=cap))
+    return {n: MassFunction(probs.copy(), tail, n, p) for n, probs, tail in chain if n in levels}
+
+
+def test_fft_chain_matches_direct_chain(monkeypatch):
+    # The FFT chain drops what lies below its round-off instead of lumping it:
+    # its survival and tail stay those of the direct chain, whose entries are
+    # sums of nonnegative terms, and its window can end below the cap.
+    cap, levels = 10**4, (18, 22, 26, 30)
+    ps = (0.3, 0.5, 0.7)
+    fft = {p: _chain_levels(p, cap, levels) for p in ps}
+    monkeypatch.setattr(distribution, "DIRECT_CONV_MAX", cap + 1)
+    ends = []
+    for p in ps:
+        for n, want in _chain_levels(p, cap, levels).items():
+            got = fft[p][n]
+            err = np.abs(got.survival().values - want.survival().values).max()
+            assert err <= 3e-15, (p, n, err)
+            assert abs(got.tail_mass - want.tail_mass) <= 5e-16 + 1e-9 * want.tail_mass, (p, n)
+            ends.append(_support_window(got.probs)[1])
+    assert min(ends) < cap
+
+
 def _support_window_reference(probs):
     """The support window read off the full index array of nonzero entries."""
     nz = np.flatnonzero(probs)
@@ -581,8 +614,8 @@ def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_po
     cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES]
     k_max = _BLOCK_CASES[-1]
     cases += [
-        evolve(20, 0.5, TruncationPolicy(k_max=k_max)),
-        evolve(20, 0.5, TruncationPolicy(k_max=k_max, tail_mode="drop")),
+        evolve(22, 0.7, TruncationPolicy(k_max=k_max)),  # tail about 0.029
+        evolve(22, 0.7, TruncationPolicy(k_max=k_max, tail_mode="drop")),
     ]
     assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:
@@ -668,11 +701,12 @@ def test_csv_writer_memory_bounded_by_block(tmp_path):
 def test_evolve_memory_per_cap_entry():
     # the bound the README states for one level of cap K: two mass arrays
     # (16 B) and the FFT block (32 B) peak at 50 B per entry (51 when
-    # numpy.fft is first imported inside the trace), held with 4 B of margin
+    # numpy.fft is first imported inside the trace), held with 4 B of margin;
+    # at p = 0.7 the windows reach the cap, so the block is as large as it gets
     cap = 2**17
     tracemalloc.start()
     try:
-        evolve(30, 0.5, TruncationPolicy(k_max=cap))
+        evolve(30, 0.7, TruncationPolicy(k_max=cap))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

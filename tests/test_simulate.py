@@ -231,6 +231,9 @@ def test_run_matches_exact_in_uint32():
 
 
 def test_run_memory_bounded_by_block():
+    # numpy imports numpy.random on first use; import it before counting, so
+    # that the peak is the run's alone whichever test ran first
+    import numpy.random  # noqa: F401
     tracemalloc.start()
     try:
         run(SimConfig(depth=10, p_plus=0.5, n_samples=200_000, seed=1))
