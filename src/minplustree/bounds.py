@@ -17,8 +17,6 @@ hold for N large, so the empirical onset is data, not an error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -26,13 +24,11 @@ import numpy as np
 
 from .distribution import (
     CRITICAL_C,
-    DIRECT_CONV_MAX,
     KMAX_LIMIT,
     SurvivalCurve,
     _MONO_SLACK,
     _RhsPlan,
     _check_level_work,
-    _usable_cpus,
     recurrence_rhs,
 )
 
@@ -412,11 +408,7 @@ def _certify(
     convolving a column close to 1.  Every other level runs a
     recurrence_rhs plan on its own column; the plan is built at the first
     such level and freed when the profile takes over (in both models the
-    covered levels form a suffix of the scan).  Above the direct cutoff,
-    with more than one usable CPU, the plan runs one forward transform of
-    each level on a single helper thread, opened with the plan and kept
-    until the scan ends; everything else, ``fill_column`` and ``gamma_at``
-    included, stays on the calling thread.
+    covered levels form a suffix of the scan).
 
     ``gamma_at(N, col)``, when given, returns the smallest breathing-room
     ratio of the residual column at N, or None where no slot qualifies.
@@ -435,52 +427,49 @@ def _certify(
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
-    overlap = k_hi > DIRECT_CONV_MAX and _usable_cpus() > 1
     plan = profile_rhs = None
-    with ExitStack() as scope:
-        q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
-        col = np.empty(k_hi - k_lo + 1)
-        fill_column(n_lo, q)
-        for N in range(n_lo, n_hi + 1):
-            if profile is not None and profile.covers(N):
-                if profile_rhs is None:
-                    plan = rhs = None  # free the per-level buffers before rhs(G) takes its own
-                    profile_rhs = recurrence_rhs(profile.G(q_next))[k_lo:]
-                    scaled = np.empty_like(profile_rhs)
-                D = profile.D(N)
-                rhs = np.divide(profile_rhs, D * D, out=scaled)
-            else:
-                if plan is None:
-                    pool = scope.enter_context(ThreadPoolExecutor(1)) if overlap else None
-                    plan = _RhsPlan(k_hi, pool)
-                rhs = plan(q)[k_lo:]
-            fill_column(N + 1, q_next)
-            # direction * ((q_next - q) - rhs) on k_lo..k_hi
-            np.subtract(q_next[k_lo:], q[k_lo:], out=col)
-            np.subtract(col, rhs, out=col)
-            if direction < 0:
-                np.negative(col, out=col)
-            if grid is not None:
-                grid[N - n_lo] = col
-            m = float(col.min())  # NaN if any residual is
-            if m < min_margin or math.isnan(m):
-                min_margin = m
-            if not m >= 0.0:
-                bad = np.flatnonzero(~(col >= 0.0))  # a NaN residual is a violation
-                n_violations += bad.size
-                if bad.size and first_violation is None:
-                    first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
-            if gamma_at is not None:
-                ratio = gamma_at(N, col)
-                if ratio is not None:
-                    saw_model1 = True
-                    gamma = min(gamma, ratio)
-            if check_validity and curve_valid:
-                invalid = _first_invalid(q)
-                if invalid is not None:
-                    curve_valid = False
-                    first_invalid = (N, invalid[0], invalid[1])
-            q, q_next = q_next, q
+    q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
+    col = np.empty(k_hi - k_lo + 1)
+    fill_column(n_lo, q)
+    for N in range(n_lo, n_hi + 1):
+        if profile is not None and profile.covers(N):
+            if profile_rhs is None:
+                plan = rhs = None  # free the per-level buffers before rhs(G) takes its own
+                profile_rhs = recurrence_rhs(profile.G(q_next))[k_lo:]
+                scaled = np.empty_like(profile_rhs)
+            D = profile.D(N)
+            rhs = np.divide(profile_rhs, D * D, out=scaled)
+        else:
+            if plan is None:
+                plan = _RhsPlan(k_hi)
+            rhs = plan(q)[k_lo:]
+        fill_column(N + 1, q_next)
+        # direction * ((q_next - q) - rhs) on k_lo..k_hi
+        np.subtract(q_next[k_lo:], q[k_lo:], out=col)
+        np.subtract(col, rhs, out=col)
+        if direction < 0:
+            np.negative(col, out=col)
+        if grid is not None:
+            grid[N - n_lo] = col
+        m = float(col.min())  # NaN if any residual is
+        if m < min_margin or math.isnan(m):
+            min_margin = m
+        if not m >= 0.0:
+            bad = np.flatnonzero(~(col >= 0.0))  # a NaN residual is a violation
+            n_violations += bad.size
+            if bad.size and first_violation is None:
+                first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
+        if gamma_at is not None:
+            ratio = gamma_at(N, col)
+            if ratio is not None:
+                saw_model1 = True
+                gamma = min(gamma, ratio)
+        if check_validity and curve_valid:
+            invalid = _first_invalid(q)
+            if invalid is not None:
+                curve_valid = False
+                first_invalid = (N, invalid[0], invalid[1])
+        q, q_next = q_next, q
 
     return CertificateReport(
         checked_n=(n_lo, n_hi),

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -82,7 +81,7 @@ def _summary(line: str) -> None:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    policy = TruncationPolicy(k_max=args.kmax, tail_mode=args.tail_mode)
+    policy = TruncationPolicy(k_max=args.kmax)
     m = evolve(args.N, args.p, policy)
 
     # the writers get the target itself: rendering a 10^6-row CSV into a
@@ -169,7 +168,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    policy = TruncationPolicy(k_max=args.kmax, tail_mode="lump")
+    policy = TruncationPolicy(k_max=args.kmax)
     m = evolve(args.N, 0.5, policy)
     diag = series.diagnose(m)
     t, cdf = series.scaled_cdf_points(m)
@@ -185,8 +184,9 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         lines.append(f"{float(t[i])!r},{float(cdf[i])!r},{float(series.limit_cdf(t[i]))!r}\n")
     _write_text(_target(args.output), "".join(lines))
     _summary(
-        f"limit: N={args.N} k_max={m.k_max} ks_distance={diag.ks_distance:.6f} "
-        f"mean_scaled={diag.mean_scaled:.6f} target={diag.target_mean:.6f}"
+        f"limit: N={args.N} k_max={m.k_max} tail_mass={m.tail_mass:.3e} "
+        f"ks_distance={diag.ks_distance:.6f} mean_scaled={diag.mean_scaled:.6f} "
+        f"target={diag.target_mean:.6f}"
     )
     return 0
 
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--N", type=_positive_int, required=True)
     p_evolve.add_argument("--p", type=_probability, default=0.5)
     p_evolve.add_argument("--kmax", type=_kmax, default="auto")
-    p_evolve.add_argument("--tail-mode", choices=("lump", "drop"), default="lump")
     p_evolve.add_argument("--tail-budget", type=_tail_budget, default=None)
     p_evolve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_evolve.add_argument("--output", default=None)
@@ -227,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--p", type=_probability, default=0.5)
     p_sample.add_argument("--samples", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
-    # argparse passes a string default through `type`, so a bad value is a usage error
-    p_sample.add_argument("--workers", type=_positive_int,
-                          default=os.environ.get("MINPLUSTREE_WORKERS") or "1")
+    p_sample.add_argument("--workers", type=_positive_int, default=1)
     p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sample.add_argument("--output", default=None)
     p_sample.set_defaults(func=_cmd_sample)

@@ -19,7 +19,6 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import Executor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
@@ -100,7 +99,6 @@ def _fft_product(
     spec: Optional[np.ndarray] = None,
     spec_b: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    pool: Optional[Executor] = None,
 ) -> np.ndarray:
     """Product of the real spectra of ``a`` and ``b``, transformed back.
 
@@ -113,26 +111,12 @@ def _fft_product(
     ``length`` real entries) and to fresh arrays otherwise; the arithmetic is
     the same either way.  ``out`` may share memory with ``spec_b``, which is
     spent by the time the inverse transform writes.
-
-    With a ``pool``, the transform of a distinct ``b`` runs on it while this
-    thread transforms ``a`` (numpy's transforms release the GIL).  The call
-    returns only after both have finished, so ``b`` may be rewritten and
-    ``spec_b`` reused once it returns, even by an exception.  Each transform
-    is the one a serial call makes, so the result is bitwise the same.
     """
+    spec = np.fft.rfft(a, length, out=spec)
     if b is a:
-        spec = np.fft.rfft(a, length, out=spec)
         np.multiply(spec, spec, out=spec)
-    elif pool is None:
-        spec = np.fft.rfft(a, length, out=spec)
-        spec *= np.fft.rfft(b, length, out=spec_b)
     else:
-        pending = pool.submit(np.fft.rfft, b, length, out=spec_b)
-        try:
-            spec = np.fft.rfft(a, length, out=spec)
-        finally:
-            spec_b = pending.result()
-        spec *= spec_b
+        spec *= np.fft.rfft(b, length, out=spec_b)
     return np.fft.irfft(spec, length, out=out)
 
 
@@ -174,18 +158,20 @@ class TruncationPolicy:
 
     ``k_max`` is a fixed cap on every level.  ``None``, the default, is the
     full support {1, ..., 2^(level-1)}: nothing is ever truncated, so the
-    tail stays zero and the evolution is exact.  ``tail_mode`` is either
-    ``"lump"`` (mass above the cap is conserved as a scalar) or ``"drop"``
-    (mass above the cap is discarded and the rest renormalized).  A cap
-    above ``KMAX_LIMIT`` is refused.
+    tail stays zero and the evolution is exact.  Under a fixed cap the mass
+    above it is lumped into a conserved scalar tail; ``tail_mode`` names
+    that and must be ``"lump"``.  A cap above ``KMAX_LIMIT`` is refused.
     """
 
     k_max: Optional[int] = None
     tail_mode: str = "lump"
 
     def __post_init__(self) -> None:
-        if self.tail_mode not in ("lump", "drop"):
-            raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
+        if self.tail_mode != "lump":
+            raise ValueError(
+                f"tail_mode {self.tail_mode!r} is not supported: drop mode was removed, "
+                "and mass above the cap is always lumped"
+            )
         if self.k_max is not None and self.k_max < 2:
             raise ValueError("k_max must be >= 2")
 
@@ -339,7 +325,7 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
     cap = policy.cap_for(m.level + 1)
     probs = np.zeros(cap + 1)
     tail, _ = _step_into(
-        m.probs, m.tail_mass, _support_window(m.probs), m.p_plus, policy.tail_mode, probs, _ConvBlock()
+        m.probs, m.tail_mass, _support_window(m.probs), m.p_plus, probs, _ConvBlock()
     )
     return MassFunction(probs=probs, tail_mass=tail, level=m.level + 1, p_plus=m.p_plus)
 
@@ -378,7 +364,6 @@ def _step_into(
     tail_mass: float,
     window: Optional[tuple[int, int]],
     p: float,
-    tail_mode: str,
     out: np.ndarray,
     block: _ConvBlock,
 ) -> tuple[float, tuple[int, int]]:
@@ -453,24 +438,17 @@ def _step_into(
         sum_tail = sum_tail + tail_mass * (2.0 - tail_mass)
     tail = p * sum_tail + q * min_tail
 
-    reach = out[lo : top + 1]  # empty when lo > top
-    if tail_mode == "drop":
-        kept = float(out.sum())
-        if kept <= 0.0:
-            raise ArithmeticError("drop mode removed all probability mass")
-        reach /= kept
-        tail = 0.0
-    else:
-        # Rescale away single-step rounding: a defect delta in the total would
-        # double every level through the self-convolution, so it must not be
-        # allowed to ride along.  Exact-arithmetic cases have total == 1.0 and
-        # are left untouched.
-        total = float(out.sum()) + tail
-        if abs(total - 1.0) > NORM_EPS:
-            raise ArithmeticError(f"one step lost normalization: total = {total!r}")
-        if total != 1.0:
-            reach /= total
-            tail /= total
+    # Rescale away single-step rounding: a defect delta in the total would
+    # double every level through the self-convolution, so it must not be
+    # allowed to ride along.  Exact-arithmetic cases have total == 1.0 and
+    # are left untouched.
+    total = float(out.sum()) + tail
+    if abs(total - 1.0) > NORM_EPS:
+        raise ArithmeticError(f"one step lost normalization: total = {total!r}")
+    if total != 1.0:
+        reach = out[lo : top + 1]  # empty when lo > top
+        reach /= total
+        tail /= total
     return tail, (lo, top)
 
 
@@ -492,14 +470,11 @@ class _RhsPlan:
     array, overwritten by the next call; a scan over many columns of one
     size therefore allocates nothing per column above the direct cutoff.
     The lengths and the order of every operation are those of a fresh
-    computation, so the results are bitwise equal.  With a ``pool``, the two
-    forward transforms of a column above the cutoff run concurrently, one
-    of them on the pool (see :func:`_fft_product`).
+    computation, so the results are bitwise equal.
     """
 
-    def __init__(self, K: int, pool: Optional[Executor] = None):
+    def __init__(self, K: int):
         self.K = K
-        self.pool = pool
         self.rhs = np.zeros(K + 1)
         self.length = _fast_len(2 * K - 2) if K > DIRECT_CONV_MAX else 0
         if self.length:
@@ -517,13 +492,7 @@ class _RhsPlan:
             # rhs body until the forward transform has read them
             d = np.subtract(q[1:K], q[2 : K + 1], out=body)
             conv = _fft_product(
-                d,
-                q[1:],
-                self.length,
-                self.spec,
-                self.work,
-                self.work.view(float)[: self.length],
-                self.pool,
+                d, q[1:], self.length, self.spec, self.work, self.work.view(float)[: self.length]
             )
             cross = conv[: K - 1]
         else:
@@ -593,7 +562,7 @@ def _levels(
         if dirty[i] is not None:
             bufs[i][dirty[i][0] : dirty[i][1] + 1] = 0.0
         src, probs = probs, bufs[i][: policy.cap_for(level) + 1]
-        tail, reach = _step_into(src, tail, window, m.p_plus, policy.tail_mode, probs, block)
+        tail, reach = _step_into(src, tail, window, m.p_plus, probs, block)
         window = dirty[i] = _support_window(probs, *reach)
         _check_mass(probs, tail)
         probs.setflags(write=False)

@@ -101,14 +101,6 @@ def S_alpha_bound(k: int, alpha: float, eps: float = 0.1) -> float:
     return alpha**2 / k ** (2.0 * alpha) * (1.0 + eps) * PI2_OVER_6
 
 
-def log_sq_tangent_error(ell: int) -> float:
-    """e_l = log(l+1)^2 - log(l)^2 - 2 log(l)/l, the gap between the squared-log
-    increment and its tangent slope; negative for l >= 3 by concavity."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return math.log(ell + 1) ** 2 - math.log(ell) ** 2 - 2.0 * math.log(ell) / ell
-
-
 def limit_cdf(t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Limiting CDF of the scaled log value: 0 below 0, t^2 on [0, 1], 1 above."""
     clipped = np.clip(t, 0.0, 1.0)

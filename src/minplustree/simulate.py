@@ -50,24 +50,6 @@ _SUBSTREAM_LEAVES = 1 << 17
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _check_request(depth: int, p_plus: float, n_samples: int, workers: int = 1) -> None:
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError("p_plus must be a probability")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    leaves = n_samples * 2 ** (depth - 1)
-    substreams = min(workers, n_samples)  # the rest draw nothing and are never set up
-    set_up = substreams * _SUBSTREAM_LEAVES
-    if leaves + set_up > _MAX_LEAF_SAMPLES:
-        raise ValueError(
-            f"{n_samples} samples at depth {depth} visit {leaves:.3e} leaves, and setting up "
-            f"{substreams} substreams costs {set_up:.3e} more: more than the limit of "
-            f"{_MAX_LEAF_SAMPLES:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     depth: int
@@ -79,7 +61,22 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        _check_request(self.depth, self.p_plus, self.n_samples, self.workers)
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
+        if not 0.0 <= self.p_plus <= 1.0:
+            raise ValueError("p_plus must be a probability")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        leaves = self.n_samples * 2 ** (self.depth - 1)
+        # substreams past the sample count draw nothing and are never set up
+        substreams = min(self.workers, self.n_samples)
+        set_up = substreams * _SUBSTREAM_LEAVES
+        if leaves + set_up > _MAX_LEAF_SAMPLES:
+            raise ValueError(
+                f"{self.n_samples} samples at depth {self.depth} visit {leaves:.3e} leaves, "
+                f"and setting up {substreams} substreams costs {set_up:.3e} more: more than "
+                f"the limit of {_MAX_LEAF_SAMPLES:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,6 @@ class EmpiricalSummary:
             "scaled_quantiles": {str(q): v for q, v in sorted(self.scaled_quantiles.items())},
             "counts": {str(v): c for v, c in sorted(self.counts.items())},
         }
-
-
-def sample_one(depth: int, p_plus: float, rng: np.random.Generator) -> int:
-    """One realization of the root value: a block of one row."""
-    _check_request(depth, p_plus, 1)
-    return int(_Sampler(depth, p_plus, 1, rng.bit_generator).sample(1)[0])
 
 
 def _value_dtype(depth: int) -> np.dtype:

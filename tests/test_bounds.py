@@ -1,9 +1,6 @@
 import math
-import sys
-import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -542,74 +539,6 @@ def test_certify_lower_matches_column_loop(model, n_range, k_range):
     got = certify_lower(model, n_range, k_range, keep_grid=True)
     _assert_scan_matches(got, want, _profile_rows(certify_lower, model, n_range, k_range[1]))
     assert not np.array_equal(got.residuals[0], got.residuals[-1])
-
-
-SCAN_CASES = [
-    (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (1000, 1006), (1, 3000)),
-    (certify_upper, UpperModel(C=3.62, beta=2.0), (10_000, 10_003), (1, BIG_K)),
-    (certify_upper, UpperModel(C=0.5 * CRITICAL_C, beta=1.5), (100, 104), (3, BIG_K)),
-    (certify_lower, make_log_splice(12000, 1.0), (10_000, 10_004), (12_000, 12_000 + BIG_K)),
-    (certify_lower, LowerStepModel(b=b_sequence(151), K=151, c=1.0), (8, 30), (1, 150)),
-    # step bands; the model stops being a survival curve at N = 15, mid-scan
-    (certify_lower, LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (5000, 2.0))),
-     (10, 20), (1, BIG_K)),
-    # the junction leaves the column at N = 35, mid-scan
-    (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K)),
-]
-
-
-@pytest.mark.parametrize("certify, model, n_range, k_range", SCAN_CASES)
-def test_threaded_scan_matches_serial(monkeypatch, certify, model, n_range, k_range):
-    profile_rows = _profile_rows(certify, model, n_range, k_range[1])
-    pools = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(bounds, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
-    serial = certify(model, n_range, k_range, keep_grid=True).to_json_dict()
-    assert pools == []
-
-    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
-    try:
-        threaded = certify(model, n_range, k_range, keep_grid=True).to_json_dict()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    # one helper thread per scan, and only where a level runs the FFT plan
-    assert pools == ([1] if k_range[1] > DIRECT_CONV_MAX and not all(profile_rows) else [])
-    assert threading.active_count() == before
-
-
-def test_scan_transform_error_propagates_and_joins_helper(monkeypatch):
-    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
-    rfft = np.fft.rfft
-    lock = threading.Lock()
-    callers = []
-
-    def failing_rfft(*args, **kwargs):
-        with lock:
-            callers.append(threading.get_ident())
-            n = len(callers)
-        if n == 3:
-            raise RuntimeError("third transform failed")
-        return rfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", failing_rfft)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="third transform failed"):
-        # levels 30..34 cross the junction, so they take the per-level plan
-        certify_upper(UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K))
-    # the second level's other transform was already under way and is waited for
-    assert len(callers) == 4
-    assert len(set(callers)) == 2
-    assert threading.active_count() == before
 
 
 def _count_rfft(monkeypatch):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from minplustree.series import evaluate
 
 # Every subcommand's option strings. Adding or removing a flag is an edit here.
 OPTION_TABLE = {
-    "evolve": ["--N", "--p", "--kmax", "--tail-mode", "--tail-budget", "--format", "--output"],
+    "evolve": ["--N", "--p", "--kmax", "--tail-budget", "--format", "--output"],
     "sample": ["--depth", "--p", "--samples", "--seed", "--workers", "--format", "--output"],
     "bounds": ["--model", "--C", "--beta", "--c", "--K", "--step", "--N-range", "--k-range",
                "--emit-grid", "--strict", "--output"],
@@ -287,6 +288,17 @@ def test_limit_csv_schema(tmp_path):
     assert t == 0.0 and lim == 0.0 and 0.0 <= emp <= 1.0
 
 
+def test_limit_summary_names_lumped_tail(tmp_path, capsys):
+    # the KS window leaves out the mass lumped above the cap, so the summary
+    # line prints it, as evolve's does
+    tails = []
+    for cmd in ("evolve", "limit"):
+        assert main([cmd, "--N", "30", "--kmax", "1000", "--output", str(tmp_path / cmd)]) == 0
+        tails.append(re.search(r" tail_mass=(\S+)", capsys.readouterr().err).group(1))
+    assert tails[0] == tails[1]
+    assert float(tails[1]) > 0.0
+
+
 def test_regimes_json(tmp_path):
     out = tmp_path / "r.json"
     assert main(["regimes", "--p", "0.4", "--k-max", "8", "--output", str(out)]) == 0
@@ -309,28 +321,17 @@ def test_regimes_bad_tol_and_k_max_fail_fast(capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_worker_default_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("MINPLUSTREE_WORKERS", "3")
-    out = tmp_path / "s.json"
-    assert main(["sample", "--depth", "4", "--samples", "300", "--seed", "1",
-                 "--format", "json", "--output", str(out)]) == 0
-    # worker count shapes the substreams, so compare against an explicit run
-    explicit = tmp_path / "e.json"
-    monkeypatch.delenv("MINPLUSTREE_WORKERS")
-    assert main(["sample", "--depth", "4", "--samples", "300", "--seed", "1",
-                 "--workers", "3", "--format", "json", "--output", str(explicit)]) == 0
-    assert out.read_bytes() == explicit.read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_worker_environment_malformed_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("MINPLUSTREE_WORKERS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["sample", "--depth", "4", "--samples", "10"])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
-    # only sample reads the variable
-    assert main(["evolve", "--N", "3"]) == 0
+def test_sample_output_ignores_worker_environment(tmp_path, monkeypatch):
+    # the worker count shapes the substreams, so only --workers may set it
+    argv = ["sample", "--depth", "4", "--samples", "300", "--seed", "1", "--format", "json"]
+    monkeypatch.delenv("MINPLUSTREE_WORKERS", raising=False)
+    assert main([*argv, "--output", str(tmp_path / "none.json")]) == 0
+    want = (tmp_path / "none.json").read_bytes()
+    for value in ("3", "abc"):
+        monkeypatch.setenv("MINPLUSTREE_WORKERS", value)
+        out = tmp_path / f"{value}.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == want
 
 
 def test_evolve_tail_budget_note(capsys):

@@ -251,19 +251,12 @@ def _step_pmf_reference(m, policy):
     probs[0] = 0.0
     tail = p * sum_tail + (1.0 - p) * min_tail
 
-    if policy.tail_mode == "drop":
-        kept = float(probs.sum())
-        if kept <= 0.0:
-            raise ArithmeticError("drop mode removed all probability mass")
-        probs /= kept
-        tail = 0.0
-    else:
-        total = float(probs.sum()) + tail
-        if abs(total - 1.0) > 1e-9:
-            raise ArithmeticError(f"one step lost normalization: total = {total!r}")
-        if total != 1.0:
-            probs /= total
-            tail /= total
+    total = float(probs.sum()) + tail
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"one step lost normalization: total = {total!r}")
+    if total != 1.0:
+        probs /= total
+        tail /= total
     return MassFunction(probs=probs, tail_mass=tail, level=new_level, p_plus=p)
 
 
@@ -297,7 +290,7 @@ def _check_chain_bitwise(m, n_target, policy):
 _ORACLE_PS = (0.0, 0.3, 0.5, 0.7, 1.0)
 
 
-@pytest.mark.parametrize("tail_mode", ["lump", "drop"])
+@pytest.mark.parametrize("tail_mode", ["lump"])
 @pytest.mark.parametrize("p", _ORACLE_PS)
 def test_levels_bitwise_match_reference_step(p, tail_mode):
     # caps on both sides of the direct cutoff, run until the window passes it
@@ -313,7 +306,7 @@ def test_step_bitwise_matches_reference_across_cap_changes(p):
     # a cap below the support lumps the excess into the tail, also below the
     # window's first slot (p = 1 puts all mass at 2^15, and the hand-made level
     # starts at 200); a cap that grows after lumping extends the tail as
-    # survival; drop mode renormalizes what is kept
+    # survival
     full = evolve(16, p, TruncationPolicy())  # support up to 2^15
     lumped = step_pmf(full, TruncationPolicy(k_max=100))
     probs = np.zeros(6001)
@@ -322,20 +315,13 @@ def test_step_bitwise_matches_reference_across_cap_changes(p):
     shifted = MassFunction(probs=probs, tail_mass=0.0, level=5, p_plus=p)
     for m in (full, lumped, shifted):
         for cap in (2, 100, 4096, 5000, 2**16):
-            for tail_mode in ("lump", "drop"):
-                _check_chain_bitwise(m, m.level + 3, TruncationPolicy(k_max=cap, tail_mode=tail_mode))
+            _check_chain_bitwise(m, m.level + 3, TruncationPolicy(k_max=cap))
 
 
 def test_lump_mode_conserves_mass():
     m = evolve(8, 0.5, TruncationPolicy(k_max=16))
     assert m.tail_mass > 0.0
     assert abs(float(m.probs.sum()) + m.tail_mass - 1.0) < 1e-12
-
-
-def test_drop_mode_renormalizes():
-    m = evolve(8, 0.5, TruncationPolicy(k_max=16, tail_mode="drop"))
-    assert m.tail_mass == 0.0
-    assert abs(float(m.probs.sum()) - 1.0) < 1e-12
 
 
 def test_shrinking_cap_lumps_consistently():
@@ -360,9 +346,8 @@ def test_lumped_tail_nondecreasing_in_level(p):
             m = step_pmf(m, policy)
             tails.append(m.tail_mass)
         assert all(b >= a * (1.0 - 1e-14) for a, b in zip(tails, tails[1:])), cap
-    # the full support and drop mode never carry a tail
+    # the full support never carries a tail
     assert evolve(20, p, TruncationPolicy()).tail_mass == 0.0
-    assert evolve(20, p, TruncationPolicy(k_max=16, tail_mode="drop")).tail_mass == 0.0
 
 
 def test_truncation_policy_defaults():
@@ -374,8 +359,10 @@ def test_truncation_policy_defaults():
     assert TruncationPolicy(k_max=8).cap_for(40) == 8
     with pytest.raises(ValueError):
         TruncationPolicy(k_max=1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(k_max=8, tail_mode="spill")
+    # lumping is the only truncation: drop mode is refused by name
+    for mode in ("drop", "spill"):
+        with pytest.raises(ValueError, match="drop mode was removed"):
+            TruncationPolicy(k_max=8, tail_mode=mode)
 
 
 def test_cap_ceiling_refused_before_evolving():
@@ -615,7 +602,7 @@ def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_po
     k_max = _BLOCK_CASES[-1]
     cases += [
         evolve(22, 0.7, TruncationPolicy(k_max=k_max)),  # tail about 0.029
-        evolve(22, 0.7, TruncationPolicy(k_max=k_max, tail_mode="drop")),
+        evolve(17, 0.7, TruncationPolicy()),  # the full support, 2^16 rows and no tail
     ]
     assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:

@@ -45,11 +45,13 @@ def test_cli_import_loads_no_scipy(cli_import_modules):
 
 
 def test_cli_import_loads_no_process_pool(cli_import_modules):
-    # the distribution writers import these only when they fork workers
+    # the distribution writers import these only when they fork workers;
+    # concurrent.futures would pull in logging and traceback at start-up
     cli = cli_import_modules[0]
     assert "minplustree.distribution" in cli
     assert "multiprocessing" not in cli
-    assert "concurrent.futures.process" not in cli
+    assert "concurrent.futures" not in cli
+    assert "logging" not in cli
 
 
 def test_cli_import_leaves_float_formatter_unloaded(cli_import_modules):

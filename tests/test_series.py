@@ -19,7 +19,6 @@ from minplustree.series import (
     evaluate,
     h,
     limit_cdf,
-    log_sq_tangent_error,
 )
 
 K_GRID = [2, 3, 5, 10, 47, 100, 1_000, 10_000, 123_456, 1_000_000]
@@ -113,13 +112,6 @@ def test_series_k_above_limit_refused_before_allocation():
 
 def test_series_nonnegative():
     assert h(17) >= 0 and B(17) >= 0 and M(4, 17) >= 0 and S_alpha(17, 0.2) >= 0
-
-
-def test_tangent_error_series():
-    assert log_sq_tangent_error(3) < 0.0
-    assert all(log_sq_tangent_error(ell) < 0 for ell in range(3, 50))
-    # the weighted window sum_{l=3}^{120} 2 l e_l stays below -7
-    assert sum(2 * ell * log_sq_tangent_error(ell) for ell in range(3, 121)) < -7.0
 
 
 # the sums as single expressions, with one temporary per operation

@@ -15,7 +15,6 @@ from minplustree.simulate import (
     SimConfig,
     compare_to_exact,
     run,
-    sample_one,
 )
 
 from enum_oracle import enumerate_pmf
@@ -27,9 +26,13 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def test_sample_one_depth1():
-    rng = _rng()
-    assert all(sample_one(1, 0.5, rng) == 1 for _ in range(10))
+def _sample_one(depth, p, rng):
+    """One root value from ``rng``'s stream: a sampler block of one row."""
+    return int(simulate._Sampler(depth, p, 1, rng.bit_generator).sample(1)[0])
+
+
+def _counts(depth, p, n, seed=0):
+    return run(SimConfig(depth=depth, p_plus=p, n_samples=n, seed=seed)).counts
 
 
 def _untouched(rng, seed=0):
@@ -37,19 +40,28 @@ def _untouched(rng, seed=0):
     return rng.bit_generator.random_raw() == _rng(seed).bit_generator.random_raw()
 
 
-def test_sample_one_forced_plus():
+def test_sample_one_depth1():
+    assert _counts(1, 0.5, 10) == {1: 10}
     rng = _rng()
-    assert all(sample_one(2, 1.0, rng) == 2 for _ in range(10))
-    assert all(sample_one(5, 1.0, rng) == 16 for _ in range(5))
+    assert _sample_one(1, 0.5, rng) == 1
+    assert _untouched(rng)
+
+
+def test_sample_one_forced_plus():
+    assert _counts(2, 1.0, 10) == {2: 10}
+    assert _counts(5, 1.0, 5) == {16: 5}
     # 2^15 is the largest root held in uint16; 2^16 needs uint32
-    assert sample_one(16, 1.0, rng) == 2**15
-    assert sample_one(17, 1.0, rng) == 2**16
+    assert _counts(16, 1.0, 1) == {2**15: 1}
+    assert _counts(17, 1.0, 1) == {2**16: 1}
+    rng = _rng()
+    assert [_sample_one(depth, 1.0, rng) for depth in (2, 5, 16, 17)] == [2, 16, 2**15, 2**16]
     assert _untouched(rng)
 
 
 def test_sample_one_pure_min():
+    assert _counts(6, 0.0, 5) == {1: 5}
     rng = _rng()
-    assert all(sample_one(6, 0.0, rng) == 1 for _ in range(5))
+    assert _sample_one(6, 0.0, rng) == 1
     assert _untouched(rng)
 
 
@@ -99,8 +111,7 @@ def test_sample_one_depth3_frequencies():
     # enumeration gives (3, 2, 2, 1)/8; 3 sigma binomial tolerance at n = 20000
     oracle = enumerate_pmf(3, Fraction(1, 2))
     n = 20_000
-    rng = _rng(5)
-    counts = Counter(sample_one(3, 0.5, rng) for _ in range(n))
+    counts = _counts(3, 0.5, n, seed=5)
     for k, w in oracle.items():
         p = float(w)
         tol = 3 * math.sqrt(p * (1 - p) / n)
@@ -108,12 +119,11 @@ def test_sample_one_depth3_frequencies():
 
 
 def test_sample_one_range_invariant():
-    rng = _rng(9)
     for depth in (1, 2, 4, 7):
         for p in (0.1, 0.5, 0.9):
-            for _ in range(50):
-                v = sample_one(depth, p, rng)
-                assert 1 <= v <= 2 ** (depth - 1)
+            counts = _counts(depth, p, 50, seed=9)
+            assert sum(counts.values()) == 50
+            assert all(1 <= v <= 2 ** (depth - 1) for v in counts)
 
 
 def test_run_reproducible():
@@ -407,6 +417,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(depth=10, p_plus=0.5, n_samples=2**30, seed=0)
     with pytest.raises(ValueError):
-        sample_one(40, 0.5, _rng())
-    with pytest.raises(ValueError):
-        sample_one(3, 1.5, _rng())
+        SimConfig(depth=3, p_plus=1.5, n_samples=1, seed=0)
