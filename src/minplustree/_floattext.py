@@ -12,6 +12,9 @@ such as ``e-308``.  Python's layout rule picks which characters show:
 exponent form iff the decimal point position ``decpt`` is <= -4 or > 16, and
 ``.0`` on integral positional values.  0.0 is written by the same rule;
 -0.0, subnormals, inf and nan take ``float.__repr__`` one value at a time.
+
+A run of rows that repeat one row's fields is that text after each k's
+digits, laid out in bytes, so it has no NUL to drop.
 """
 
 from __future__ import annotations
@@ -246,6 +249,28 @@ def csv_rows(lo: int, probs: np.ndarray, surv: np.ndarray) -> str:
     _fields(surv, b",", rows[:, n + 4 :])
     rows[:, -1] |= _U(ord("\n") << 56)
     return _text(rows)
+
+
+def numbered_rows(lo: int, hi: int, suffix: str) -> str:
+    """``f"{k}{suffix}"`` for k = lo, lo + 1, ..., hi - 1, with lo >= 1.
+
+    The rows of one digit count are a uint8 table, one column per digit and
+    then the suffix's bytes, so no place holds NUL.
+    """
+    tail = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
+    parts, width = [], len(str(lo))
+    while lo < hi:
+        top = min(hi, 10**width)
+        rows = np.empty((top - lo, width + tail.size), dtype=np.uint8)
+        k = np.arange(lo, top, dtype=_U)
+        for j in range(width - 1, -1, -1):
+            q = k // _U(10)
+            rows[:, j] = k - q * _U(10) + _U(ord("0"))
+            k = q
+        rows[:, width:] = tail
+        parts.append(rows.tobytes().decode("ascii"))
+        lo, width = top, width + 1
+    return "".join(parts)
 
 
 def json_values(lo: int, probs: np.ndarray) -> str:

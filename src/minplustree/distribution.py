@@ -606,45 +606,77 @@ def moments(m: MassFunction) -> Moments:
 def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     """CSV with one row per mass value: columns k, pmf, survival.
 
-    Rows reach ``out`` in blocks of ``_CSV_BLOCK_ROWS``, formatted by forked
-    worker processes or by this one as :func:`_ordered_map` decides, with
-    the same bytes either way.  The writer holds the survival column and at
-    most two blocks of text per worker, never the whole table.
+    Past the last resolved entry the table ends in a run of rows whose pmf
+    and survival repeat bit for bit (889,374 of the 10^6 rows at N = 40).
+    The rows up to the first of that run reach ``out`` in blocks of
+    ``_CSV_BLOCK_ROWS``, formatted by forked worker processes or by this one
+    as :func:`_ordered_map` decides, with the same bytes either way.  This
+    process writes the rest of the run, in blocks of as many rows, as each
+    k's digits and the last row's field text, so its floats are formatted
+    once.  The writer holds the survival column and at most two blocks of
+    text per worker, never the whole table.
     """
-    from minplustree._floattext import csv_rows
+    from minplustree._floattext import csv_rows, numbered_rows
 
     surv = m.survival().values
+    start = _repeats_from(m.probs, surv)
+    fields = csv_rows(m.k_max, m.probs[-1:], surv[-1:])[len(str(m.k_max)) :]
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(csv_rows, *_blocks(m.k_max + 1, m.probs, surv))) as blocks:
+        with closing(_ordered_map(csv_rows, *_blocks(start, m.probs, surv))) as blocks:
             for text in blocks:
                 fh.write(text)
+        for lo in range(start, m.k_max + 1, _CSV_BLOCK_ROWS):
+            fh.write(numbered_rows(lo, min(lo + _CSV_BLOCK_ROWS, m.k_max + 1), fields))
 
 
 def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     """``json.dumps(m.to_json_dict(), sort_keys=True)`` and a newline.
 
-    The ``probs`` list reaches ``out`` in blocks of ``_CSV_BLOCK_ROWS``
-    values, formatted as by :func:`write_distribution_csv`, so the writer
-    never holds the whole document.
+    The ``probs`` list up to the first of its trailing run of one repeated
+    value reaches ``out`` in blocks of ``_CSV_BLOCK_ROWS`` values, formatted
+    as by :func:`write_distribution_csv`; the rest of the run is that
+    value's text repeated, in chunks of as many values.  The writer never
+    holds the whole document.
     """
     from minplustree._floattext import json_values
 
     head = json.dumps({"k_max": m.k_max, "level": m.level, "p_plus": m.p_plus}, sort_keys=True)
+    start = _repeats_from(m.probs)
+    entry = json_values(m.k_max, m.probs[-1:])
     with _text_target(out) as fh:
         fh.write(head[:-1] + ', "probs": [')
         fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(json_values, *_blocks(m.k_max + 1, m.probs))) as blocks:
+        with closing(_ordered_map(json_values, *_blocks(start, m.probs))) as blocks:
             for text in blocks:
                 fh.write(text)
+        for lo in range(start, m.k_max + 1, _CSV_BLOCK_ROWS):
+            fh.write(entry * (min(lo + _CSV_BLOCK_ROWS, m.k_max + 1) - lo))
         fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
 
 
+def _repeats_from(*columns: np.ndarray) -> int:
+    """The first k from which every row repeats the row before it, bit for bit
+    in each column, up to the last; ``columns[0].size`` if the last row
+    repeats none.  Comparing the entries as integers keeps -0.0 apart from
+    0.0.  The rows are compared a block at a time from the end.
+    """
+    for hi in range(columns[0].size, 1, -_CSV_BLOCK_ROWS):
+        lo = max(hi - _CSV_BLOCK_ROWS, 1)
+        differs = np.zeros(hi - lo, dtype=bool)  # row k in slot k - lo
+        for c in columns:
+            np.logical_or(differs, c[lo:hi].view(np.uint64) != c[-1:].view(np.uint64), out=differs)
+        if differs.any():
+            return hi + 1 - int(differs[::-1].argmax())
+    return 2
+
+
 def _blocks(end: int, *columns: np.ndarray) -> list:
-    """The starts of the ``_CSV_BLOCK_ROWS``-row blocks of [1, end), then each column's slices."""
+    """The starts of the ``_CSV_BLOCK_ROWS``-row blocks of [1, end), then each
+    column's slices, the last of which stops at ``end``."""
     starts = range(1, end, _CSV_BLOCK_ROWS)
-    return [starts] + [[c[lo : lo + _CSV_BLOCK_ROWS] for lo in starts] for c in columns]
+    return [starts] + [[c[lo : min(lo + _CSV_BLOCK_ROWS, end)] for lo in starts] for c in columns]
 
 
 def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
@@ -654,7 +686,9 @@ def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
     values each and a pass of ``bytes.translate``, which hold the
     interpreter lock for most of their time: two threads format the CSV of
     a 10^6-row level slower than one thread, and two processes in about two
-    thirds of its time.
+    thirds of its time.  The writers map only the blocks before their
+    trailing run of repeated rows, which they write themselves: at N = 40,
+    cap 10^6 that is 7 of the CSV's 62 blocks.
     When there are two calls or more, more than one CPU is usable, the
     platform can fork, and no other thread runs (forking a threaded process
     is unsafe), the calls go to a pool of forked processes, one per usable

@@ -578,10 +578,35 @@ def _random_level(k_max, seed, tail_mass=0.25, p_plus=0.5):
     return MassFunction(probs=probs, tail_mass=tail_mass, level=20, p_plus=p_plus)
 
 
+def _level_ending_in(values, k_max, seed, tail_mass=0.25):
+    """A random level of cap ``k_max`` whose last entries are ``values`` and the
+    rest random; zeros past ``k_max - len(values)`` give a run of repeated rows."""
+    m = _random_level(k_max, seed, tail_mass)
+    probs = m.probs.copy()
+    probs[k_max + 1 - len(values) :] = values
+    probs[k_max - len(values)] = 1e-3  # the last entry before them is nonzero
+    probs[1:] *= (1.0 - tail_mass) / probs.sum()
+    return MassFunction(probs=probs, tail_mass=tail_mass, level=20, p_plus=0.5)
+
+
+def _rows_before_run(writer, m):
+    """The rows (JSON: values) up to the first of the trailing run that repeats
+    the last one's text: the rows the writer formats in blocks."""
+    columns = [m.probs[1:].tolist()]
+    if writer is write_distribution_csv:
+        columns.append(m.survival().values[1:].tolist())
+    rows = [tuple(map(repr, row)) for row in zip(*columns)]
+    n = len(rows) - 1
+    while n > 0 and rows[n - 1] == rows[-1]:
+        n -= 1
+    return n + 1
+
+
 def _check_both_paths(monkeypatch, pools, tmp_path, writer, m, want):
     """``writer(m, ...)`` gives ``want`` to a buffer and to a path, both on the
-    forked path (two usable CPUs) and on the serial one, and leaves no child."""
-    blocks = -(-m.k_max // _CSV_BLOCK_ROWS)
+    forked path (two usable CPUs) and on the serial one, and leaves no child.
+    Only the blocks before the trailing run of repeated rows go to the pool."""
+    blocks = -(-_rows_before_run(writer, m) // _CSV_BLOCK_ROWS)
     for cpus in (2, 1):
         monkeypatch.setattr(distribution, "_usable_cpus", lambda cpus=cpus: cpus)
         pools.opened.clear()
@@ -597,17 +622,63 @@ def _check_both_paths(monkeypatch, pools, tmp_path, writer, m, want):
         assert pools.opened == ([2, 2] if forked else [])
 
 
+def _run_cases():
+    """Levels whose tables end in a run of repeated rows, or nearly do."""
+    B, k_max = _CSV_BLOCK_ROWS, _BLOCK_CASES[-1]
+    all_lumped = np.zeros(k_max + 1)
+    return [
+        _level_ending_in(np.zeros(2 * B), k_max, 8),  # the run starts mid-block
+        _level_ending_in(np.zeros(k_max - 2 * B + 1), k_max, 9),  # on a block boundary
+        _level_ending_in(np.zeros(k_max - B - 5), k_max, 10, tail_mass=0.0),  # no tail
+        # the run is only the last zeros: -0.0 repeats no 0.0
+        _level_ending_in(np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0]), k_max, 11),
+        # a repeated pmf under a falling survival, and the reverse
+        _level_ending_in(np.full(B + 3, 1e-7), k_max, 12),
+        _level_ending_in(np.array([1e-30, 2e-30] + [1e-30] * 40), k_max, 13),
+        MassFunction(probs=all_lumped, tail_mass=1.0, level=20, p_plus=0.5),  # every row repeats
+    ]
+
+
 def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_pools):
-    cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES]
+    cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES] + _run_cases()
     k_max = _BLOCK_CASES[-1]
     cases += [
-        evolve(22, 0.7, TruncationPolicy(k_max=k_max)),  # tail about 0.029
+        evolve(22, 0.7, TruncationPolicy(k_max=k_max)),  # tail about 0.029, no run
         evolve(17, 0.7, TruncationPolicy()),  # the full support, 2^16 rows and no tail
     ]
     assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:
         want = _csv_reference(m)
         _check_both_paths(monkeypatch, process_pools, tmp_path, write_distribution_csv, m, want)
+
+
+def test_runs_start_where_the_rows_stop_repeating():
+    # the cases of _run_cases, in order: the first k written from the text of k - 1
+    B, k_max = _CSV_BLOCK_ROWS, _BLOCK_CASES[-1]
+    want = [B + 9, 2 * B + 1, B + 7, k_max, k_max + 1, k_max - 38, 2]
+    got = [distribution._repeats_from(m.probs, m.survival().values) for m in _run_cases()]
+    assert got == want
+    assert [_rows_before_run(write_distribution_csv, m) + 1 for m in _run_cases()] == want
+    assert distribution._repeats_from(_random_level(k_max, 3).probs) == k_max + 1
+    first = point_mass_initial(k_max=k_max)  # every row but the first repeats
+    assert distribution._repeats_from(first.probs, first.survival().values) == 3
+
+
+@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
+def test_pool_formats_only_the_rows_before_the_run(monkeypatch, process_pools):
+    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    k_max = _BLOCK_CASES[-1]
+    # the rows before the run fill one block, or one block and a row
+    one_block = _level_ending_in(np.zeros(k_max - _CSV_BLOCK_ROWS + 1), k_max, 14)
+    two_blocks = _level_ending_in(np.zeros(k_max - _CSV_BLOCK_ROWS), k_max, 15)
+    for m, opened in ((one_block, []), (two_blocks, [2])):
+        process_pools.opened.clear()
+        process_pools.submitted = 0
+        buf = io.StringIO()
+        write_distribution_csv(m, buf)
+        assert buf.getvalue() == _csv_reference(m)
+        assert process_pools.opened == opened
+        assert process_pools.submitted == (2 if opened else 0)
 
 
 class _FailingTarget(io.StringIO):
@@ -705,6 +776,8 @@ def test_json_blocks_match_json_dumps(tmp_path, monkeypatch, process_pools):
     cases = [_random_level(k, 5) for k in _BLOCK_CASES]
     cases += [
         _random_level(k_max, 5, tail_mass=0, p_plus=1),  # int fields
+        *_run_cases(),
+        MassFunction(probs=np.array([0.0, 0.5, 0.5]), tail_mass=0.0, level=2, p_plus=0.5),
         evolve(20, 0.3, TruncationPolicy(k_max=k_max)),
         evolve(6, 0.5, TruncationPolicy(k_max=16)),
     ]

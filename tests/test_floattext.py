@@ -49,3 +49,13 @@ def test_csv_rows_match_repr_rows_across_digit_counts():
         rows = zip(range(lo, lo + 40), x.tolist(), x[::-1].tolist())
         want = "".join(f"{k},{a!r},{b!r}\n" for k, a, b in rows)
         assert _floattext.csv_rows(lo, x, x[::-1]) == want
+
+
+def test_numbered_rows_across_digit_counts():
+    suffix = ",0.0,2.642018284009411e-14\n"
+    spans = [(1, 12), (5, 5)]
+    for edge in (100_000, 1_000_000, 10_000_000):
+        spans += [(edge - 3, edge + 3), (edge - 1, edge), (edge, edge + 1)]
+    for lo, hi in spans:
+        want = "".join(f"{k}{suffix}" for k in range(lo, hi))
+        assert _floattext.numbered_rows(lo, hi, suffix) == want
