@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from collections import deque
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -67,13 +64,6 @@ def _check_level_work(levels: int, entries: int) -> None:
             f"{levels} levels of {entries} entries cost {work:.3e} entry updates, "
             f"more than the limit of {_MAX_LEVEL_WORK:.3e}"
         )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -608,13 +598,11 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
 
     Past the last resolved entry the table ends in a run of rows whose pmf
     and survival repeat bit for bit (889,374 of the 10^6 rows at N = 40).
-    The rows up to the first of that run reach ``out`` in blocks of
-    ``_CSV_BLOCK_ROWS``, formatted by forked worker processes or by this one
-    as :func:`_ordered_map` decides, with the same bytes either way.  This
-    process writes the rest of the run, in blocks of as many rows, as each
-    k's digits and the last row's field text, so its floats are formatted
-    once.  The writer holds the survival column and at most two blocks of
-    text per worker, never the whole table.
+    The rows up to the first of that run are formatted and written in
+    blocks of ``_CSV_BLOCK_ROWS``; the rest of the run is written, in
+    blocks of as many rows, as each k's digits and the last row's field
+    text, so its floats are formatted once.  The writer holds the survival
+    column and one block of text, never the whole table.
     """
     from minplustree._floattext import csv_rows, numbered_rows
 
@@ -623,10 +611,9 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     fields = csv_rows(m.k_max, m.probs[-1:], surv[-1:])[len(str(m.k_max)) :]
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
-        fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(csv_rows, *_blocks(start, m.probs, surv))) as blocks:
-            for text in blocks:
-                fh.write(text)
+        for lo in range(1, start, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, start)
+            fh.write(csv_rows(lo, m.probs[lo:hi], surv[lo:hi]))
         for lo in range(start, m.k_max + 1, _CSV_BLOCK_ROWS):
             fh.write(numbered_rows(lo, min(lo + _CSV_BLOCK_ROWS, m.k_max + 1), fields))
 
@@ -635,10 +622,9 @@ def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     """``json.dumps(m.to_json_dict(), sort_keys=True)`` and a newline.
 
     The ``probs`` list up to the first of its trailing run of one repeated
-    value reaches ``out`` in blocks of ``_CSV_BLOCK_ROWS`` values, formatted
-    as by :func:`write_distribution_csv`; the rest of the run is that
-    value's text repeated, in chunks of as many values.  The writer never
-    holds the whole document.
+    value is formatted and written in blocks of ``_CSV_BLOCK_ROWS`` values;
+    the rest of the run is that value's text repeated, in chunks of as many
+    values.  The writer never holds the whole document.
     """
     from minplustree._floattext import json_values
 
@@ -647,10 +633,8 @@ def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:
     entry = json_values(m.k_max, m.probs[-1:])
     with _text_target(out) as fh:
         fh.write(head[:-1] + ', "probs": [')
-        fh.flush()  # the forked workers inherit the target with nothing buffered
-        with closing(_ordered_map(json_values, *_blocks(start, m.probs))) as blocks:
-            for text in blocks:
-                fh.write(text)
+        for lo in range(1, start, _CSV_BLOCK_ROWS):
+            fh.write(json_values(lo, m.probs[lo : min(lo + _CSV_BLOCK_ROWS, start)]))
         for lo in range(start, m.k_max + 1, _CSV_BLOCK_ROWS):
             fh.write(entry * (min(lo + _CSV_BLOCK_ROWS, m.k_max + 1) - lo))
         fh.write('], "tail_mass": ' + json.dumps(m.tail_mass) + "}\n")
@@ -670,53 +654,6 @@ def _repeats_from(*columns: np.ndarray) -> int:
         if differs.any():
             return hi + 1 - int(differs[::-1].argmax())
     return 2
-
-
-def _blocks(end: int, *columns: np.ndarray) -> list:
-    """The starts of the ``_CSV_BLOCK_ROWS``-row blocks of [1, end), then each
-    column's slices, the last of which stops at ``end``."""
-    starts = range(1, end, _CSV_BLOCK_ROWS)
-    return [starts] + [[c[lo : min(lo + _CSV_BLOCK_ROWS, end)] for lo in starts] for c in columns]
-
-
-def _ordered_map(fn: Callable, *iterables: Iterable) -> Iterator:
-    """``map(fn, *iterables)``, on forked worker processes where that is safe.
-
-    A writer's block of text is a few hundred numpy calls on a few thousand
-    values each and a pass of ``bytes.translate``, which hold the
-    interpreter lock for most of their time: two threads format the CSV of
-    a 10^6-row level slower than one thread, and two processes in about two
-    thirds of its time.  The writers map only the blocks before their
-    trailing run of repeated rows, which they write themselves: at N = 40,
-    cap 10^6 that is 7 of the CSV's 62 blocks.
-    When there are two calls or more, more than one CPU is usable, the
-    platform can fork, and no other thread runs (forking a threaded process
-    is unsafe), the calls go to a pool of forked processes, one per usable
-    CPU up to one per call, with at most two calls per worker in flight, and
-    the results come back in call order.  Otherwise this process makes each
-    call in turn.
-
-    Close the generator when stopping early, so that the pool is shut down
-    and its workers joined.
-    """
-    calls = list(zip(*iterables))
-    workers = min(_usable_cpus(), len(calls))
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                pending: deque = deque()
-                for args in calls:
-                    if len(pending) == 2 * workers:
-                        yield pending.popleft().result()
-                    pending.append(pool.submit(fn, *args))
-                while pending:
-                    yield pending.popleft().result()
-            return
-    yield from (fn(*args) for args in calls)
 
 
 @contextmanager

@@ -33,13 +33,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from . import distribution
-from .distribution import CRITICAL_C, MassFunction, _ordered_map, _write_text
+from .distribution import CRITICAL_C, MassFunction, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # arrays one block of subtrees materializes
@@ -305,6 +306,13 @@ def _run_counts(cfg: SimConfig, lo: int, hi: int) -> Dict[int, int]:
     return counts
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(cfg: SimConfig) -> EmpiricalSummary:
     """Sample ``cfg.n_samples`` root values and summarize them.
 
@@ -312,18 +320,28 @@ def run(cfg: SimConfig) -> EmpiricalSummary:
     (seed, w), and substream shares are fixed by index, so the merged counts
     depend only on (seed, workers), never on scheduling.  Substreams past
     the sample count draw nothing and are skipped; the rest are cut into
-    one contiguous run per usable CPU, and the runs go through
-    :func:`distribution._ordered_map`: on forked processes when more than
-    one CPU is usable, the platform can fork and no other thread runs, and
-    in turn on this process otherwise.  Their counts are merged in run
-    order.
+    one contiguous run per usable CPU.  When there are two runs or more,
+    the platform can fork and no other thread runs (forking a threaded
+    process is unsafe), the runs go to a pool of forked processes, one per
+    run; otherwise this process makes them in turn.  Their counts are
+    merged in run order.
     """
     active = min(cfg.workers, cfg.n_samples)
-    runs = min(distribution._usable_cpus(), active)
+    runs = min(_usable_cpus(), active)
     edges = [r * active // runs for r in range(runs + 1)]
+    calls = ([cfg] * runs, edges[:-1], edges[1:])
 
+    parts = map(_run_counts, *calls)
+    if runs > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(runs, mp_context=fork) as pool:
+                parts = list(pool.map(_run_counts, *calls))
     counts: Dict[int, int] = {}
-    for part in _ordered_map(_run_counts, [cfg] * runs, edges[:-1], edges[1:]):
+    for part in parts:
         for v, c in part.items():
             counts[v] = counts.get(v, 0) + c
 

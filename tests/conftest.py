@@ -36,8 +36,8 @@ def critical_chain() -> CriticalChain:
 
 @pytest.fixture
 def process_pools(monkeypatch):
-    """The worker count of each process pool that ``distribution._ordered_map``
-    opens, in order, and the number of calls submitted to them."""
+    """The worker count of each process pool opened, in order, and the number
+    of calls submitted to them; ``simulate.run`` is the only opener."""
     log = SimpleNamespace(opened=[], submitted=0)
 
     class Counted(process.ProcessPoolExecutor):

@@ -113,9 +113,9 @@ def test_evolve_file_and_stdout_identical(tmp_path, capsys, fmt):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-def test_evolve_stdout_from_forked_writer(tmp_path):
-    # 3 blocks of rows, so the writer forks its workers where it can; in a
-    # fresh interpreter stdout is a real buffered stream, which the workers inherit
+def test_evolve_stdout_piped_equals_output_file(tmp_path):
+    # a table of 3 blocks of rows; in a fresh interpreter stdout is a real
+    # buffered stream, and the header goes out once, before the first block
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     args = [sys.executable, "-m", "minplustree", "evolve", "--N", "17", "--kmax", "40000"]
     env = dict(os.environ, PYTHONPATH=src)

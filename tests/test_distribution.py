@@ -4,7 +4,6 @@ import json
 import math
 import multiprocessing
 import re
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -567,7 +566,6 @@ def _csv_reference(m):
 
 # one block, one row past it, two full blocks, several and a partial last one
 _BLOCK_CASES = (_CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS, 3 * _CSV_BLOCK_ROWS + 7)
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _random_level(k_max, seed, tail_mass=0.25, p_plus=0.5):
@@ -602,24 +600,31 @@ def _rows_before_run(writer, m):
     return n + 1
 
 
-def _check_both_paths(monkeypatch, pools, tmp_path, writer, m, want):
-    """``writer(m, ...)`` gives ``want`` to a buffer and to a path, both on the
-    forked path (two usable CPUs) and on the serial one, and leaves no child.
-    Only the blocks before the trailing run of repeated rows go to the pool."""
-    blocks = -(-_rows_before_run(writer, m) // _CSV_BLOCK_ROWS)
-    for cpus in (2, 1):
-        monkeypatch.setattr(distribution, "_usable_cpus", lambda cpus=cpus: cpus)
-        pools.opened.clear()
-        buf = io.StringIO()
-        writer(m, buf)
-        assert buf.getvalue() == want
-        assert multiprocessing.active_children() == []
-        path = tmp_path / "out"
-        writer(m, str(path))
-        assert path.read_bytes() == want.encode()
-        assert multiprocessing.active_children() == []
-        forked = cpus > 1 and blocks > 1 and _CAN_FORK
-        assert pools.opened == ([2, 2] if forked else [])
+def _check_same_text(got, want):
+    """Fail unless ``got == want``, naming the first line that differs ('' past
+    the end) and the text from just before its first differing character.
+    pytest's diff of a bare ``assert`` on texts of megabytes can take minutes.
+    """
+    if got != want:
+        got_lines, want_lines = got.splitlines(True) + [""], want.splitlines(True) + [""]
+        i = next(i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b)
+        a, b = got_lines[i], want_lines[i]
+        c = next((c for c, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        at = slice(max(c - 40, 0), c + 80)
+        pytest.fail(f"line {i} differs at character {c}: got {a[at]!r}, want {b[at]!r}")
+
+
+def _check_writes(pools, tmp_path, writer, m, want):
+    """``writer(m, ...)`` gives ``want`` to a buffer and to a path, in this
+    process: it opens no process pool and leaves no child."""
+    buf = io.StringIO()
+    writer(m, buf)
+    _check_same_text(buf.getvalue(), want)
+    path = tmp_path / "out"
+    writer(m, str(path))
+    _check_same_text(path.read_bytes().decode(), want)
+    assert pools.opened == []
+    assert multiprocessing.active_children() == []
 
 
 def _run_cases():
@@ -639,7 +644,7 @@ def _run_cases():
     ]
 
 
-def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_pools):
+def test_csv_blocks_match_row_by_row_reference(tmp_path, process_pools):
     cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES] + _run_cases()
     k_max = _BLOCK_CASES[-1]
     cases += [
@@ -649,7 +654,7 @@ def test_csv_blocks_match_row_by_row_reference(tmp_path, monkeypatch, process_po
     assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:
         want = _csv_reference(m)
-        _check_both_paths(monkeypatch, process_pools, tmp_path, write_distribution_csv, m, want)
+        _check_writes(process_pools, tmp_path, write_distribution_csv, m, want)
 
 
 def test_runs_start_where_the_rows_stop_repeating():
@@ -662,23 +667,6 @@ def test_runs_start_where_the_rows_stop_repeating():
     assert distribution._repeats_from(_random_level(k_max, 3).probs) == k_max + 1
     first = point_mass_initial(k_max=k_max)  # every row but the first repeats
     assert distribution._repeats_from(first.probs, first.survival().values) == 3
-
-
-@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
-def test_pool_formats_only_the_rows_before_the_run(monkeypatch, process_pools):
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
-    k_max = _BLOCK_CASES[-1]
-    # the rows before the run fill one block, or one block and a row
-    one_block = _level_ending_in(np.zeros(k_max - _CSV_BLOCK_ROWS + 1), k_max, 14)
-    two_blocks = _level_ending_in(np.zeros(k_max - _CSV_BLOCK_ROWS), k_max, 15)
-    for m, opened in ((one_block, []), (two_blocks, [2])):
-        process_pools.opened.clear()
-        process_pools.submitted = 0
-        buf = io.StringIO()
-        write_distribution_csv(m, buf)
-        assert buf.getvalue() == _csv_reference(m)
-        assert process_pools.opened == opened
-        assert process_pools.submitted == (2 if opened else 0)
 
 
 class _FailingTarget(io.StringIO):
@@ -696,53 +684,13 @@ class _FailingTarget(io.StringIO):
 
 
 @pytest.mark.parametrize("writer", [write_distribution_csv, write_distribution_json])
-def test_writer_error_propagates_and_leaves_no_process(monkeypatch, process_pools, writer):
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+def test_writer_error_propagates_and_leaves_no_process(process_pools, writer):
     target = _FailingTarget()
     with pytest.raises(OSError, match="no space left"):
         writer(_random_level(_BLOCK_CASES[-1], 4), target)
     assert target.calls == 3
-    assert process_pools.opened == ([2] if _CAN_FORK else [])
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
-def test_forked_writer_keeps_two_blocks_per_worker_in_flight(monkeypatch, process_pools):
-    # a slow target must not let the workers' text pile up in the writer
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
-    submitted_at_write = []
-
-    class Watching(io.StringIO):
-        def write(self, text):
-            submitted_at_write.append(process_pools.submitted)
-            return super().write(text)
-
-    m = _random_level(8 * _CSV_BLOCK_ROWS, 7)
-    target = Watching()
-    write_distribution_csv(m, target)
-    assert target.getvalue() == _csv_reference(m)
-    # the header, then block i once blocks up to i + 3 (four in flight) went out
-    assert submitted_at_write == [0] + [min(i + 3, 8) for i in range(1, 9)]
-
-
-def test_writers_fork_nothing_beside_another_thread(monkeypatch, process_pools):
-    # forking a process that runs threads is unsafe, so the writers stay serial
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
-    m = _random_level(_BLOCK_CASES[-1], 6)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(60.0,))
-    other.start()
-    try:
-        csv_buf, json_buf = io.StringIO(), io.StringIO()
-        write_distribution_csv(m, csv_buf)
-        write_distribution_json(m, json_buf)
-    finally:
-        release.set()
-        other.join(timeout=60.0)
-    assert not other.is_alive()
     assert process_pools.opened == []
-    assert csv_buf.getvalue() == _csv_reference(m)
-    assert json_buf.getvalue() == json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_writer_memory_bounded_by_block(tmp_path):
@@ -771,7 +719,7 @@ def test_evolve_memory_per_cap_entry():
     assert peak <= 54 * cap
 
 
-def test_json_blocks_match_json_dumps(tmp_path, monkeypatch, process_pools):
+def test_json_blocks_match_json_dumps(tmp_path, process_pools):
     k_max = _BLOCK_CASES[-1]
     cases = [_random_level(k, 5) for k in _BLOCK_CASES]
     cases += [
@@ -783,7 +731,7 @@ def test_json_blocks_match_json_dumps(tmp_path, monkeypatch, process_pools):
     ]
     for m in cases:
         want = json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
-        _check_both_paths(monkeypatch, process_pools, tmp_path, write_distribution_json, m, want)
+        _check_writes(process_pools, tmp_path, write_distribution_json, m, want)
 
 
 def test_json_writer_memory_bounded_by_block(tmp_path):

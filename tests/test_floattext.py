@@ -3,7 +3,6 @@
 import numpy as np
 
 from minplustree import _floattext
-from minplustree.distribution import _ordered_map
 
 
 def _mismatch(x):
@@ -22,8 +21,7 @@ def test_matches_repr_on_random_bit_patterns():
     bits = np.random.default_rng(18).integers(0, 2**64, 1_000_000, dtype=np.uint64)
     x = bits.view(float)
     x = x[np.isfinite(x)]  # every exponent, both signs, subnormals too
-    # float.__repr__ takes microseconds a value: spread the slices over the usable CPUs
-    assert [m for m in _ordered_map(_mismatch, np.array_split(x, 8)) if m is not None] == []
+    assert [m for m in map(_mismatch, np.array_split(x, 8)) if m is not None] == []
 
 
 def test_matches_repr_on_edge_values():

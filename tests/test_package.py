@@ -45,7 +45,7 @@ def test_cli_import_loads_no_scipy(cli_import_modules):
 
 
 def test_cli_import_loads_no_process_pool(cli_import_modules):
-    # the distribution writers import these only when they fork workers;
+    # the sampler, their only importer, imports these when it forks workers;
     # concurrent.futures would pull in logging and traceback at start-up
     cli = cli_import_modules[0]
     assert "minplustree.distribution" in cli

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minplustree import distribution, simulate
+from minplustree import simulate
 from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.simulate import (
     EmpiricalSummary,
@@ -258,7 +258,7 @@ def test_worker_pool_bounded_by_cpus(monkeypatch, process_pools):
     cfg = SimConfig(depth=3, p_plus=0.5, n_samples=200, seed=5, workers=64)
     summaries = []
     for cpus in (2, 1):
-        monkeypatch.setattr(distribution, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda cpus=cpus: cpus)
         process_pools.opened.clear()
         summaries.append(run(cfg))
         assert process_pools.opened == ([2] if cpus == 2 and _CAN_FORK else [])
@@ -281,7 +281,7 @@ def _spawned_counts(cfg):
 
 def test_substream_runs_submit_one_pool_call_per_cpu(monkeypatch, process_pools):
     # 20000 substreams go to the pool as one contiguous run per usable CPU
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     cfg = SimConfig(depth=2, p_plus=0.5, n_samples=20_000, seed=11, workers=20_000)
     summary = run(cfg)
     if _CAN_FORK:
@@ -307,7 +307,7 @@ def test_substream_set_up_counts_in_work_limit():
 
 def test_sampler_forks_nothing_beside_another_thread(monkeypatch, process_pools):
     # forking a process that runs threads is unsafe, so the sampler stays serial
-    monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     cfg = SimConfig(depth=5, p_plus=0.5, n_samples=1000, seed=9, workers=4)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60.0,))
