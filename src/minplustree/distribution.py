@@ -31,7 +31,9 @@ DIRECT_CONV_MAX = 4096   # direct O(K^2) convolution at or below this size
 KMAX_LIMIT = 1 << 26     # largest support cap of any level: 512 MiB per array
 # A level of n entries costs about (n + _LEVEL_OVERHEAD) * 200 ns of one core, in
 # evolve and in a bound scan alike: 50-260 ns per entry, plus 22 us per level for
-# a scan at k = 10 and 48 us for evolve at cap 2.
+# a scan at k = 10 and 48 us for evolve at cap 2.  An evolve level's n is its
+# support window, which never passes the cap, so the guard counts cap entries
+# as an upper bound.
 _LEVEL_OVERHEAD = 256      # one level's fixed cost, in entries
 _MAX_LEVEL_WORK = 1 << 33  # levels * (entries + _LEVEL_OVERHEAD): about half an hour
 _CLAMP_FLOOR = -1e-12    # FFT round-off more negative than this is a bug
@@ -181,17 +183,45 @@ class TruncationPolicy:
         return cap
 
 
-def _check_mass(probs: np.ndarray, tail_mass: float) -> None:
+def _window_sum(arr: np.ndarray, lo: int, hi: int) -> float:
+    """``float(arr.sum())`` bit for bit, for an ``arr`` that is zero outside
+    ``[lo, hi]``, from O(hi - lo + log arr.size) entries.
+
+    numpy sums a contiguous float array by a pairwise tree: a node of n >
+    128 entries adds the sum of its first n // 2 entries, rounded down to a
+    multiple of 8, to the sum of the rest, and a node of at most 128 is a
+    leaf summed in an order of its own.  A node's subtree depends on its
+    length alone, so ``np.add.reduce`` of its entries is its sum in the
+    tree.  This walks the same tree: a node outside the window adds 0.0,
+    and a node inside it, or a leaf, is one ``np.add.reduce``.  A sum of
+    the window's slice alone groups the entries differently and can differ
+    in its last bits.
+    """
+
+    def node(start: int, n: int) -> float:
+        if start > hi or start + n <= lo:
+            return 0.0
+        if n <= 128 or (lo <= start and start + n <= hi + 1):
+            return float(np.add.reduce(arr[start : start + n]))
+        half = n // 2 - n // 2 % 8
+        return node(start, half) + node(start + half, n - half)
+
+    return node(0, arr.size)
+
+
+def _check_mass(probs: np.ndarray, tail_mass: float, window: Optional[tuple[int, int]]) -> None:
     """Refuse a negative or NaN entry, or a total ``sum + tail`` off 1 by more than ``NORM_EPS``.
 
-    Both passes run over the whole array: numpy's pairwise sum groups a
-    slice differently, so a sum over the support alone could differ in its
-    last bits from the one :func:`_step_into` normalizes with.
+    ``window`` is a range ``(lo, hi)`` of slots outside which every entry is
+    zero, or None when every entry is.  Both passes run on the window alone,
+    and the sum is :func:`_window_sum`, which has the bits of the whole
+    array's sum, the one :func:`_step_into` normalizes with.
     """
+    lo, hi = window or (1, 0)
     # negated comparisons, so that NaN fails them too
-    if not (probs.min() >= 0.0 and tail_mass >= 0.0):
+    if not (probs[lo : hi + 1].min(initial=0.0) >= 0.0 and tail_mass >= 0.0):
         raise ValueError("negative or NaN probability entry")
-    total = float(probs.sum()) + tail_mass
+    total = _window_sum(probs, lo, hi) + tail_mass
     if not abs(total - 1.0) <= NORM_EPS:
         raise ValueError(f"mass not normalized: sum+tail = {total!r}")
 
@@ -222,7 +252,7 @@ class MassFunction:
             raise ValueError("level must be >= 1")
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError("p_plus must be a probability")
-        _check_mass(probs, self.tail_mass)
+        _check_mass(probs, self.tail_mass, (0, probs.size - 1))
         if self.level == 1 and (probs[1] != 1.0 or self.tail_mass != 0.0):
             raise ValueError("level 1 must be a point mass at k = 1")
 
@@ -232,10 +262,7 @@ class MassFunction:
 
     def survival(self) -> "SurvivalCurve":
         """Survival view: values[k] = P(X >= k) including the lumped tail."""
-        vals = np.empty(self.k_max + 1)
-        vals[0] = 1.0
-        vals[1:] = _survival_suffix(self.probs, self.tail_mass)
-        return SurvivalCurve(values=vals, tail_floor=self.tail_mass, level=self.level)
+        return _survival_curve(self.probs, self.tail_mass, self.level)
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,6 +305,15 @@ class SurvivalCurve:
     @property
     def k_max(self) -> int:
         return self.values.size - 1
+
+
+def _survival_curve(probs: np.ndarray, tail_mass: float, level: int) -> SurvivalCurve:
+    """The checked survival curve of the padded mass array ``probs``, with
+    ``tail_mass`` beyond its last slot."""
+    vals = np.empty(probs.size)
+    vals[0] = 1.0
+    vals[1:] = _survival_suffix(probs, tail_mass)
+    return SurvivalCurve(values=vals, tail_floor=tail_mass, level=level)
 
 
 def point_mass_initial(p_plus: float = 0.5, k_max: int = 2) -> MassFunction:
@@ -368,7 +404,8 @@ def _step_into(
     ends at the last entry above it, for both parts.  The dropped mass is
     not lumped; the normalization rescales it away.  The direct convolution
     has no negative entries, so below the cutoff nothing is dropped.
-    Every pass but the normalization sum runs on those slots.
+    Every pass runs on those slots; the normalization sum is
+    :func:`_window_sum`, with the bits of the whole array's sum.
     Each entry takes the IEEE operations, in the same order, of the
     full-length formula ``p * sum_in + (1 - p) * min_in``, with
     ``min_in[k] = s[k]^2 - s[k+1]^2`` over the survival ``s`` including the
@@ -432,7 +469,7 @@ def _step_into(
     # double every level through the self-convolution, so it must not be
     # allowed to ride along.  Exact-arithmetic cases have total == 1.0 and
     # are left untouched.
-    total = float(out.sum()) + tail
+    total = _window_sum(out, lo, top) + tail
     if abs(total - 1.0) > NORM_EPS:
         raise ArithmeticError(f"one step lost normalization: total = {total!r}")
     if total != 1.0:
@@ -540,8 +577,10 @@ def _levels(
 
     Two arrays of the largest cap hold the levels in turn, and one
     :class:`_ConvBlock` serves every transform, so a level allocates only
-    window-sized temporaries below the direct cutoff.  A yielded ``probs``
-    is a read-only view that the level after next overwrites.
+    window-sized temporaries below the direct cutoff.  Every pass, the
+    check included, runs on the level's support window, so a cap above it
+    costs no time per level.  A yielded ``probs`` is a read-only view that
+    the level after next overwrites.
     """
     bufs = [np.zeros(policy.cap_for(n_target) + 1) for _ in range(2)]  # caps never shrink
     dirty: list = [None, None]  # the support window each buffer last held
@@ -554,7 +593,7 @@ def _levels(
         src, probs = probs, bufs[i][: policy.cap_for(level) + 1]
         tail, reach = _step_into(src, tail, window, m.p_plus, probs, block)
         window = dirty[i] = _support_window(probs, *reach)
-        _check_mass(probs, tail)
+        _check_mass(probs, tail, window)
         probs.setflags(write=False)
         yield level, probs, tail
 
@@ -601,14 +640,24 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     The rows up to the first of that run are formatted and written in
     blocks of ``_CSV_BLOCK_ROWS``; the rest of the run is written, in
     blocks of as many rows, as each k's digits and the last row's field
-    text, so its floats are formatted once.  The writer holds the survival
-    column and one block of text, never the whole table.
+    text, so its floats are formatted once.  When the pmf ends in +0.0,
+    every suffix sum over its trailing run of +0.0 is exactly 0.0, so those
+    rows' survival is the tail alone and the run of repeated rows is the
+    pmf's own: the survival column is computed and checked only up to the
+    run.  The writer holds that column and one block of text, never the
+    whole table.
     """
     from minplustree._floattext import csv_rows, numbered_rows
 
-    surv = m.survival().values
-    start = _repeats_from(m.probs, surv)
-    fields = csv_rows(m.k_max, m.probs[-1:], surv[-1:])[len(str(m.k_max)) :]
+    if m.probs[-1:].view(np.uint64)[0] == 0:  # +0.0, not -0.0
+        start = _repeats_from(m.probs)
+        surv = _survival_curve(m.probs[:start], m.tail_mass, m.level).values
+        last = m.probs[-1:] + m.tail_mass  # the whole column's last entry
+    else:
+        surv = m.survival().values
+        start = _repeats_from(m.probs, surv)
+        last = surv[-1:]
+    fields = csv_rows(m.k_max, m.probs[-1:], last)[len(str(m.k_max)) :]
     with _text_target(out) as fh:
         fh.write("k,pmf,survival\n")
         for lo in range(1, start, _CSV_BLOCK_ROWS):

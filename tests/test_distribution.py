@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -31,6 +32,7 @@ from minplustree.distribution import (
     _levels,
     _support_window,
     _survival_suffix,
+    _window_sum,
 )
 
 from enum_oracle import enumerate_pmf
@@ -293,7 +295,10 @@ _ORACLE_PS = (0.0, 0.3, 0.5, 0.7, 1.0)
 @pytest.mark.parametrize("p", _ORACLE_PS)
 def test_levels_bitwise_match_reference_step(p, tail_mode):
     # caps on both sides of the direct cutoff, run until the window passes it
-    for cap, n_target in ((2, 8), (100, 12), (4096, 16), (4097, 16), (2**15, 18), (None, 18)):
+    # the odd cap lies far above every window: the normalization sum prunes
+    # numpy's summation tree on both sides of the FFT levels' windows
+    caps = ((2, 8), (100, 12), (4096, 16), (4097, 16), (2**15, 18), (2**17 + 3, 18), (None, 18))
+    for cap, n_target in caps:
         policy = TruncationPolicy(k_max=cap, tail_mode=tail_mode)
         want = _check_chain_bitwise(point_mass_initial(p), n_target, policy)
         if want is not None:
@@ -313,7 +318,7 @@ def test_step_bitwise_matches_reference_across_cap_changes(p):
     probs /= probs.sum()
     shifted = MassFunction(probs=probs, tail_mass=0.0, level=5, p_plus=p)
     for m in (full, lumped, shifted):
-        for cap in (2, 100, 4096, 5000, 2**16):
+        for cap in (2, 100, 4096, 5000, 2**16, 2**16 + 5):
             _check_chain_bitwise(m, m.level + 3, TruncationPolicy(k_max=cap))
 
 
@@ -474,6 +479,37 @@ def test_support_window_matches_index_array_reference():
             assert _support_window(probs, lo, hi) == want, (n, lo, hi)
 
 
+def _same_float(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+def test_window_sum_matches_whole_array_sum_bitwise():
+    rng = np.random.default_rng(26)
+    sizes = [1, 2, 5, 7, 8, 9, 100, 127, 128, 129, 1000, 4097, 2**17 + 3, 2**20 + 3]
+    sizes += [int(n) for n in rng.integers(1, 2**20 + 4, size=12)]
+    for n in sizes:
+        arr = np.zeros(n)
+        windows = {(0, n - 1), (0, 0), (min(1, n - 1), n - 1), (n - 1, n - 1)}
+        windows |= {(min(1, n - 1), min(1 + w, n - 1)) for w in (0, 9, 300, 5000)}
+        windows |= {(max(n - 1 - w, 0), n - 1) for w in (0, 9, 300, 5000)}
+        for _ in range(8):
+            lo = int(rng.integers(0, n))
+            windows.add((lo, int(rng.integers(lo, min(lo + int(rng.integers(1, 2**14)), n)))))
+        for lo, hi in sorted(windows):
+            # magnitudes over many binades, with exact zeros inside the window
+            seg = rng.random(hi - lo + 1) * 10.0 ** rng.integers(-20, 3, hi - lo + 1)
+            arr[lo : hi + 1] = seg * (rng.random(seg.size) < 0.9)
+            assert _same_float(_window_sum(arr, lo, hi), float(arr.sum())), (n, lo, hi)
+            arr[lo : hi + 1] = 0.0
+            assert _same_float(_window_sum(arr, lo, hi), 0.0)  # all zero
+        assert _same_float(_window_sum(arr, 1, 0), 0.0)  # an empty window
+    # a single entry anywhere
+    for n, at in ((1, 0), (8, 7), (129, 64), (2**20 + 3, 2**20 + 2), (2**20 + 3, 1)):
+        arr = np.zeros(n)
+        arr[at] = 0.3
+        assert _same_float(_window_sum(arr, at, at), float(arr.sum())) and _window_sum(arr, at, at) == 0.3
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -530,6 +566,37 @@ def test_mass_function_validation():
         MassFunction(probs=np.array([0.0, 0.5, 0.5]), tail_mass=0.0, level=1, p_plus=0.5)
     with pytest.raises(ValueError):
         MassFunction(probs=np.array([0.0, -0.1, 1.1]), tail_mass=0.0, level=2, p_plus=0.5)
+
+
+@pytest.mark.parametrize("cap", [100, 2**17 + 3])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "negative or NaN probability entry"),
+        (-1e-3, "negative or NaN probability entry"),
+        (2.0, "mass not normalized"),
+    ],
+)
+def test_levels_refuse_a_bad_entry_inside_the_window(monkeypatch, cap, bad, message):
+    # the level loop checks only each level's support window: an entry the
+    # step gets wrong there must fail the check as it did on the whole array
+    step = distribution._step_into
+    calls = []
+
+    def planting(src, tail, window, p, out, block):
+        tail, (lo, top) = step(src, tail, window, p, out, block)
+        calls.append(window)  # the window the step reads
+        if len(calls) == 17:  # level 18, an FFT step at the larger cap
+            out[(lo + top) // 2] = bad
+        return tail, (lo, top)
+
+    monkeypatch.setattr(distribution, "_step_into", planting)
+    levels = _levels(point_mass_initial(0.7), 18, TruncationPolicy(k_max=cap))
+    assert [level for level, _, _ in itertools.islice(levels, 16)] == list(range(2, 18))
+    with pytest.raises(ValueError, match=message):
+        next(levels)
+    assert len(calls) == 17
+    assert cap == 100 or calls[-1][1] - calls[-1][0] + 1 > distribution.DIRECT_CONV_MAX
 
 
 def test_survival_curve_validation():
@@ -648,6 +715,9 @@ def test_csv_blocks_match_row_by_row_reference(tmp_path, process_pools):
     cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES] + _run_cases()
     k_max = _BLOCK_CASES[-1]
     cases += [
+        # the pmf ends in one +0.0 that repeats no row; a -0.0 tail adds 0.0 + -0.0
+        _level_ending_in(np.zeros(1), k_max, 14),
+        _level_ending_in(np.zeros(_CSV_BLOCK_ROWS + 5), k_max, 15, tail_mass=-0.0),
         evolve(22, 0.7, TruncationPolicy(k_max=k_max)),  # tail about 0.029, no run
         evolve(17, 0.7, TruncationPolicy()),  # the full support, 2^16 rows and no tail
     ]
