@@ -638,14 +638,14 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
     Past the last resolved entry the table ends in a run of rows whose pmf
     and survival repeat bit for bit (889,374 of the 10^6 rows at N = 40).
     The rows up to the first of that run are formatted and written in
-    blocks of ``_CSV_BLOCK_ROWS``; the rest of the run is written, in
-    blocks of as many rows, as each k's digits and the last row's field
-    text, so its floats are formatted once.  When the pmf ends in +0.0,
-    every suffix sum over its trailing run of +0.0 is exactly 0.0, so those
-    rows' survival is the tail alone and the run of repeated rows is the
-    pmf's own: the survival column is computed and checked only up to the
-    run.  The writer holds that column and one block of text, never the
-    whole table.
+    blocks of ``_CSV_BLOCK_ROWS``; the rest of the run is written as each
+    k's digits and the last row's field text, in pieces of at most 10^4
+    rows that cross no multiple of 10^4, so its floats are formatted once.
+    When the pmf ends in +0.0, every suffix sum over its trailing run of
+    +0.0 is exactly 0.0, so those rows' survival is the tail alone and the
+    run of repeated rows is the pmf's own: the survival column is computed
+    and checked only up to the run.  The writer holds that column and one
+    block or piece of text, never the whole table.
     """
     from minplustree._floattext import csv_rows, numbered_rows
 
@@ -663,8 +663,8 @@ def write_distribution_csv(m: MassFunction, out: Union[str, TextIO]) -> None:
         for lo in range(1, start, _CSV_BLOCK_ROWS):
             hi = min(lo + _CSV_BLOCK_ROWS, start)
             fh.write(csv_rows(lo, m.probs[lo:hi], surv[lo:hi]))
-        for lo in range(start, m.k_max + 1, _CSV_BLOCK_ROWS):
-            fh.write(numbered_rows(lo, min(lo + _CSV_BLOCK_ROWS, m.k_max + 1), fields))
+        for text in numbered_rows(start, m.k_max + 1, fields):
+            fh.write(text)
 
 
 def write_distribution_json(m: MassFunction, out: Union[str, TextIO]) -> None:

@@ -764,14 +764,18 @@ def test_writer_error_propagates_and_leaves_no_process(process_pools, writer):
 
 
 def test_csv_writer_memory_bounded_by_block(tmp_path):
-    m = evolve(19, 0.5, TruncationPolicy())  # the full support: 2^18 rows
-    tracemalloc.start()
-    try:
-        write_distribution_csv(m, str(tmp_path / "d.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * m.k_max
+    levels = [
+        evolve(19, 0.5, TruncationPolicy()),  # the full support: 2^18 rows
+        point_mass_initial(k_max=2**18),  # every row but the first is the run
+    ]
+    for m in levels:
+        tracemalloc.start()
+        try:
+            write_distribution_csv(m, str(tmp_path / "d.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * m.k_max
 
 
 def test_evolve_memory_per_cap_entry():

@@ -1,6 +1,9 @@
 """The writers' float formatter against ``float.__repr__``."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from minplustree import _floattext
 
@@ -56,4 +59,60 @@ def test_numbered_rows_across_digit_counts():
         spans += [(edge - 3, edge + 3), (edge - 1, edge), (edge, edge + 1)]
     for lo, hi in spans:
         want = "".join(f"{k}{suffix}" for k in range(lo, hi))
-        assert _floattext.numbered_rows(lo, hi, suffix) == want
+        assert "".join(_floattext.numbered_rows(lo, hi, suffix)) == want
+
+
+@pytest.mark.parametrize("suffix", ["\n", ",0.0,2.642018284009411e-14\n"])
+@pytest.mark.parametrize("lo, hi", [
+    (7, 7), (1, 12), (9_995, 10_005), (99_995, 100_005),
+    (10**8 - 3, 10**8 + 3),  # k // 10^4 goes from 9999 to 10000
+    (12_345, 43_210), (1, 20_003),  # unaligned, with whole pieces between
+])
+def test_numbered_rows_pieces(lo, hi, suffix):
+    pieces = list(_floattext.numbered_rows(lo, hi, suffix))
+    assert "".join(pieces) == "".join(f"{k}{suffix}" for k in range(lo, hi))
+    k = lo
+    for piece in pieces:
+        last = k + piece.count("\n") - 1
+        # at most 10^4 rows, within one multiple of 10^4 and one digit count
+        assert k <= last < k + 10_000
+        assert k // 10_000 == last // 10_000 and len(str(k)) == len(str(last))
+        k = last + 1
+    assert k == hi
+
+
+def _groups_oracle():
+    """The 4-digit group words built one group at a time: plain, then trailing
+    zeros NUL, then leading zeros NUL."""
+    groups = [f"{i:04d}".encode() for i in range(10_000)]
+    groups += [s.rstrip(b"0").ljust(4, b"\0") for s in groups[:10_000]]
+    groups += [s.lstrip(b"0").rjust(4, b"\0") for s in groups[:10_000]]
+    return [_floattext._text_int(s) for s in groups]
+
+
+# SHA-256 of the little-endian uint64 words of each other table (of each array
+# of the tuple g, in order); integer tables, the same on every host
+_TABLE_DIGESTS = {
+    "g": "b99aef57446fdc9e0790b01c2c4a774fcb0ff96a0a74ab46533cb5638bf2b49f",
+    "keep": "e396a6e44ee8f8898ca2ef84bdc5ea7c68309a223fce4611f653a7064e8f59b1",
+    "point": "65c95644b4dd87bd6acc8c96ae6d1fc61e441284ff4dfe0a57c06d7eea84893a",
+    "moved": "e943c25519a260eb131c9481005e62d2d243d8cba22da43f65c0f037b990590e",
+    "zeros": "76931b65cb034d4815dc867f8fe02df197de762122636e00a025d87d204005ff",
+    "exps": "e182463c2b22e615169e6dcf0451bd5f4f1079f94910a4270523d0c0c01cb5cb",
+    "prefix": "f9d856ca782e82bcc1cdb7c9f445a8a209705a1c8d7f26c4318345fa13868092",
+}
+
+
+def test_tables_match_their_oracles():
+    tables = _floattext._tables()
+    assert tables.groups.dtype == np.uint64
+    assert tables.groups.tolist() == _groups_oracle()
+    got = {}
+    for name in _TABLE_DIGESTS:
+        arrays = getattr(tables, name)
+        sha = hashlib.sha256()
+        for a in arrays if isinstance(arrays, tuple) else (arrays,):
+            assert a.dtype == np.uint64
+            sha.update(a.astype("<u8").tobytes())
+        got[name] = sha.hexdigest()
+    assert got == _TABLE_DIGESTS
