@@ -27,7 +27,6 @@ from .distribution import (
     KMAX_LIMIT,
     SurvivalCurve,
     _MONO_SLACK,
-    _RhsPlan,
     _check_level_work,
     recurrence_rhs,
 )
@@ -35,7 +34,6 @@ from .distribution import (
 _SANDWICH_TOL = 1e-12  # float slack when comparing the exact curve with the models
 
 RangeLike = Union[int, Tuple[int, int]]
-FloatOrArray = Union[float, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +121,6 @@ class UpperModel:
         return math.sqrt(N * self.C + self.beta**2) - self.beta
 
 
-def upper_model_smooth(m: UpperModel, N: int, log_k: FloatOrArray) -> FloatOrArray:
-    """First-branch formula 1 - log(k)^2 / (N C), regardless of the junction."""
-    return 1.0 - log_k**2 / (N * m.C)
-
-
-def upper_model_tail(m: UpperModel, N: int, log_k: FloatOrArray) -> FloatOrArray:
-    """Second-branch formula, exponential decay beyond the junction.
-
-    The exponent is clamped at 0, which only changes log k below the
-    junction, where the first branch applies; it keeps the exponential
-    finite there when whole columns are evaluated.
-    """
-    t = m.threshold(N)
-    return _tail_coef(m, N) * np.exp(np.minimum(-(log_k - t) / m.beta, 0.0))
-
-
 def _tail_coef(m: UpperModel, N: int) -> float:
     """The second branch's value at the junction."""
     return (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
@@ -167,9 +149,9 @@ def _upper_column(
     ``_log_tables(k_max)``.
 
     Since log k rises with k, the first branch is a prefix and the
-    exponential tail a suffix.  Both are written in place, with the
-    operations of ``upper_model_smooth`` and ``upper_model_tail`` in the
-    same order.
+    exponential tail a suffix; both are written in place.  The tail's
+    exponent is clamped at 0, which changes nothing past the junction,
+    where it is never positive.
     """
     t = m.threshold(N)
     j = int(np.searchsorted(logk, t))  # logk[:j] < t <= logk[j:]
@@ -397,18 +379,18 @@ def _certify(
 
     ``fill_column(N, out)`` writes the model array at level N, slots
     0..k_hi, into ``out``.  The scan builds its buffers once and reuses
-    them from level to level: two model columns that swap roles, the
-    residual, and what the recurrence's rhs needs.
+    them from level to level: two model columns that swap roles and the
+    residual.
 
     The rhs uses only differences of q and is quadratic in them, so a column
     q = 1 - G / D has rhs(q) = rhs(G) / D^2.  A level whose column lies
     wholly on the ``profile``'s leading branch therefore takes rhs(G),
     computed once per scan by :func:`recurrence_rhs`, scaled by 1 / D(N)^2,
     and runs no convolution; rhs(G) also avoids the cancellation of
-    convolving a column close to 1.  Every other level runs a
-    recurrence_rhs plan on its own column; the plan is built at the first
-    such level and freed when the profile takes over (in both models the
-    covered levels form a suffix of the scan).
+    convolving a column close to 1.  Every other level calls
+    recurrence_rhs on its own column, after the previous level's rhs is
+    freed, so at most one rhs and one convolution block are held at a time
+    (in both models the covered levels form a suffix of the scan).
 
     ``gamma_at(N, col)``, when given, returns the smallest breathing-room
     ratio of the residual column at N, or None where no slot qualifies.
@@ -427,22 +409,21 @@ def _certify(
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
-    plan = profile_rhs = None
+    rhs = profile_rhs = None
     q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
     col = np.empty(k_hi - k_lo + 1)
     fill_column(n_lo, q)
     for N in range(n_lo, n_hi + 1):
         if profile is not None and profile.covers(N):
             if profile_rhs is None:
-                plan = rhs = None  # free the per-level buffers before rhs(G) takes its own
+                rhs = None  # free the last per-level rhs before rhs(G) takes its own
                 profile_rhs = recurrence_rhs(profile.G(q_next))[k_lo:]
                 scaled = np.empty_like(profile_rhs)
             D = profile.D(N)
             rhs = np.divide(profile_rhs, D * D, out=scaled)
         else:
-            if plan is None:
-                plan = _RhsPlan(k_hi)
-            rhs = plan(q)[k_lo:]
+            rhs = None  # the previous level's rhs goes before this one is built
+            rhs = recurrence_rhs(q)[k_lo:]
         fill_column(N + 1, q_next)
         # direction * ((q_next - q) - rhs) on k_lo..k_hi
         np.subtract(q_next[k_lo:], q[k_lo:], out=col)

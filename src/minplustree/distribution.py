@@ -68,60 +68,18 @@ def _check_level_work(levels: int, entries: int) -> None:
         )
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution: direct for short inputs, FFT-based above the cutoff.
-
-    The FFT branch zero-pads to the 5-smooth length ``_fast_len`` and
-    multiplies real spectra.  A self-convolution (``b is a``) transforms its
-    operand once and squares the spectrum in place, so it costs one forward
-    and one inverse transform; distinct operands take two forward transforms.
-    These are the lengths and products of ``scipy.signal.fftconvolve``, and
-    the tests check that the results agree bit for bit.
-    """
-    if max(a.size, b.size) <= DIRECT_CONV_MAX:
-        return np.convolve(a, b)
-    n = a.size + b.size - 1
-    return _fft_product(a, b, _fast_len(n))[:n]
-
-
-def _fft_product(
-    a: np.ndarray,
-    b: np.ndarray,
-    length: int,
-    spec: Optional[np.ndarray] = None,
-    spec_b: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Product of the real spectra of ``a`` and ``b``, transformed back.
-
-    With ``length >= a.size + b.size - 1``, the first ``a.size + b.size - 1``
-    of the ``length`` entries returned are the linear convolution.
-
-    The transforms zero-pad their operands to ``length`` themselves.  The
-    spectra and the result go to ``spec``, ``spec_b`` and ``out`` when those
-    are given (``length // 2 + 1`` complex, ``length // 2 + 1`` complex and
-    ``length`` real entries) and to fresh arrays otherwise; the arithmetic is
-    the same either way.  ``out`` may share memory with ``spec_b``, which is
-    spent by the time the inverse transform writes.
-    """
-    spec = np.fft.rfft(a, length, out=spec)
-    if b is a:
-        np.multiply(spec, spec, out=spec)
-    else:
-        spec *= np.fft.rfft(b, length, out=spec_b)
-    return np.fft.irfft(spec, length, out=out)
-
-
-def _cross_term(q: np.ndarray) -> np.ndarray:
+def _cross_term(q: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_{l=1}^{k-1} (q_l - q_{l+1}) q_{k-l} for k = 2..K, as entries 0..K-2.
 
     ``q`` is 1-indexed padded with K = q.size - 1 >= 2.  The sum is a linear
     convolution of the increment sequence with the values, so the whole
-    column costs O(K log K) above the direct cutoff.
+    column costs O(K log K) above the direct cutoff.  The increments go to
+    ``d`` (K - 1 entries) when it is given; the result never shares memory
+    with it, so ``d`` is free again once this returns.
     """
     K = q.size - 1
-    d = q[1:K] - q[2 : K + 1]
-    return _convolve(d, q[1:])[: K - 1]
+    d = np.subtract(q[1:K], q[2 : K + 1], out=d)
+    return _ConvBlock().convolve(d, q[1:])[0][: K - 1]
 
 
 def _survival_suffix(probs: np.ndarray, tail_mass: float) -> np.ndarray:
@@ -357,13 +315,24 @@ def step_pmf(m: MassFunction, policy: TruncationPolicy) -> MassFunction:
 
 
 class _ConvBlock:
-    """The spectrum and the inverse transform of a self-convolution above the
-    direct cutoff, in one allocation that a level loop keeps.
+    """The library's one linear convolution, with the buffers of its FFT
+    branch in one allocation that a caller may keep.
 
-    The block is replaced only when a transform is longer than any before
-    it; shorter ones use its head.  A transform covers twice the support
-    window, which ends where the previous level's sum part rose above its
-    round-off, so the block follows the resolved mass, not the cap.
+    At or below ``DIRECT_CONV_MAX`` entries the convolution is direct.
+    Above it the operands are zero-padded to the 5-smooth length
+    ``_fast_len`` and their real spectra multiplied: a self-convolution
+    (``b is a``) transforms its operand once and squares the spectrum in
+    place, so it costs one forward and one inverse transform; distinct
+    operands take two forward transforms.  These are the lengths and
+    products of ``scipy.signal.fftconvolve``, and the tests check that the
+    results agree bit for bit.
+
+    The block holds the spectrum and then the second spectrum, which the
+    inverse transform overwrites once it is spent.  It is replaced only when
+    a transform is longer than any before it; shorter ones use its head.
+    In the level loop a transform covers twice the support window, which
+    ends where the previous level's sum part rose above its round-off, so
+    the block follows the resolved mass, not the cap.
     """
 
     __slots__ = ("block",)
@@ -371,17 +340,28 @@ class _ConvBlock:
     def __init__(self) -> None:
         self.block: Optional[np.ndarray] = None
 
-    def self_convolve(self, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_convolve(seg, seg)`` as a view of the block, and the spent
-        spectrum's memory as float scratch of at least ``2 * seg.size`` entries."""
-        n = 2 * seg.size - 1
+    def convolve(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The linear convolution of ``a`` and ``b``, and float scratch.
+
+        On the FFT branch the convolution is a view of the block, which the
+        next call overwrites, and the scratch is the spent spectrum's memory,
+        at least ``a.size + b.size`` entries; the direct branch returns a
+        fresh array and no scratch.
+        """
+        if max(a.size, b.size) <= DIRECT_CONV_MAX:
+            return np.convolve(a, b), None
+        n = a.size + b.size - 1
         length = _fast_len(n)
-        half = length // 2 + 1  # complex entries of the spectrum; the rest holds the result
-        if self.block is None or self.block.size < length + 1:
+        half = length // 2 + 1  # complex entries of a spectrum
+        if self.block is None or self.block.size < 2 * half:
             self.block = None  # the old block goes before the new one is allocated
-            self.block = np.empty(length + 1, dtype=complex)
-        spec = self.block[:half]
-        conv = _fft_product(seg, seg, length, spec, out=self.block[half:].view(float)[:length])
+            self.block = np.empty(2 * half, dtype=complex)
+        spec = np.fft.rfft(a, length, out=self.block[:half])
+        if b is a:
+            np.multiply(spec, spec, out=spec)
+        else:
+            spec *= np.fft.rfft(b, length, out=self.block[half : 2 * half])
+        conv = np.fft.irfft(spec, length, out=self.block[half:].view(float)[:length])
         return conv[:n], spec.view(float)
 
 
@@ -411,9 +391,9 @@ def _step_into(
     ``min_in[k] = s[k]^2 - s[k+1]^2`` over the survival ``s`` including the
     tail, so the result does not depend on the window or the buffers: the
     min part is written first, and each sum-part entry is added to a slot
-    that holds its ``(1 - p) * min_in`` or zero.  Above the direct cutoff
-    the convolution lives in ``block``, and the survival and its squares in
-    the spent spectrum.
+    that holds its ``(1 - p) * min_in`` or zero.  The self-convolution is
+    ``block.convolve``; above the direct cutoff it lives in the block, and
+    the survival and its squares in the spent spectrum.
     """
     cap = out.size - 1
     q = 1.0 - p
@@ -429,10 +409,7 @@ def _step_into(
         w = seg.size
         scratch = None
         if p > 0.0:
-            if w > DIRECT_CONV_MAX:
-                conv, scratch = block.self_convolve(seg)
-            else:
-                conv = np.convolve(seg, seg)
+            conv, scratch = block.convolve(seg, seg)
             floor = -_clamp_probabilities(conv)  # conv[j] is P(X1 + X2 = 2 lo + j)
             if floor > 0.0:  # round-off of this size: the top run not above it is noise
                 conv = conv[: conv.size - int((conv[::-1] > floor).argmax())]
@@ -484,51 +461,21 @@ def recurrence_rhs(q: np.ndarray) -> np.ndarray:
 
     ``q`` is a 1-indexed padded survival array; slots 0 and 1 of the result
     are zero.  This is the increment of the one-level survival update, and
-    the bound certifiers test their models against it.
+    the bound certifiers test their models against it.  The result's body
+    holds the increments of :func:`_cross_term` until the convolution has
+    read them, so above the direct cutoff the call allocates only the result
+    and one convolution block.
     """
-    return _RhsPlan(q.size - 1)(q)
-
-
-class _RhsPlan:
-    """:func:`recurrence_rhs` for arrays of one size K, with buffers that
-    outlive the call.
-
-    Calling the plan on ``q`` (``q.size == K + 1``) returns its own rhs
-    array, overwritten by the next call; a scan over many columns of one
-    size therefore allocates nothing per column above the direct cutoff.
-    The lengths and the order of every operation are those of a fresh
-    computation, so the results are bitwise equal.
-    """
-
-    def __init__(self, K: int):
-        self.K = K
-        self.rhs = np.zeros(K + 1)
-        self.length = _fast_len(2 * K - 2) if K > DIRECT_CONV_MAX else 0
-        if self.length:
-            self.spec = np.empty(self.length // 2 + 1, dtype=complex)
-            # the spectrum of q, and once the product is formed, the inverse
-            self.work = np.empty_like(self.spec)
-
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        K = self.K
-        if K < 2:
-            return self.rhs
-        body = self.rhs[2:]
-        if self.length:
-            # _cross_term in the plan's buffers; the increments sit in the
-            # rhs body until the forward transform has read them
-            d = np.subtract(q[1:K], q[2 : K + 1], out=body)
-            conv = _fft_product(
-                d, q[1:], self.length, self.spec, self.work, self.work.view(float)[: self.length]
-            )
-            cross = conv[: K - 1]
-        else:
-            cross = _cross_term(q)
+    K = q.size - 1
+    rhs = np.zeros(K + 1)
+    if K >= 2:
+        body = rhs[2:]
+        cross = _cross_term(q, body)
         np.subtract(q[1], q[2:], out=body)
         np.multiply(q[2:], body, out=body)
         np.subtract(cross, body, out=body)
         np.multiply(0.5, body, out=body)
-        return self.rhs
+    return rhs
 
 
 def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
@@ -576,11 +523,11 @@ def _levels(
     ``n_target``, each checked as a :class:`MassFunction` would be.
 
     Two arrays of the largest cap hold the levels in turn, and one
-    :class:`_ConvBlock` serves every transform, so a level allocates only
-    window-sized temporaries below the direct cutoff.  Every pass, the
-    check included, runs on the level's support window, so a cap above it
-    costs no time per level.  A yielded ``probs`` is a read-only view that
-    the level after next overwrites.
+    :class:`_ConvBlock` serves every level's self-convolution, so a level
+    allocates only window-sized temporaries below the direct cutoff.  Every
+    pass, the check included, runs on the level's support window, so a cap
+    above it costs no time per level.  A yielded ``probs`` is a read-only
+    view that the level after next overwrites.
     """
     bufs = [np.zeros(policy.cap_for(n_target) + 1) for _ in range(2)]  # caps never shrink
     dirty: list = [None, None]  # the support window each buffer last held

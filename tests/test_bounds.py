@@ -19,8 +19,6 @@ from minplustree.bounds import (
     lower_model_values,
     recurrence_rhs,
     sandwich_check,
-    upper_model_smooth,
-    upper_model_tail,
     upper_model_values,
     _first_invalid,
 )
@@ -121,7 +119,7 @@ def test_recurrence_rhs_matches_f():
 
 def test_recurrence_rhs_one_shot_arrays():
     # the public call never hands out a buffer that a later call overwrites;
-    # K = 5000 takes the FFT branch, whose buffers a scan reuses
+    # K = 5000 takes the FFT branch, whose convolution is a view of its block
     for K in (60, 5000):
         q = np.concatenate(([1.0], random_sk(K)))
         q2 = np.concatenate(([1.0], random_sk(K)))
@@ -170,12 +168,28 @@ def test_a_below_squared_log_in_window():
 # upper model
 
 
+def _upper_smooth_formula(m, N, log_k):
+    """The first branch's formula 1 - log(k)^2 / (N C), regardless of the junction."""
+    return 1.0 - log_k**2 / (N * m.C)
+
+
+def _upper_tail_formula(m, N, log_k):
+    """The second branch's formula, exponential decay beyond the junction.
+
+    The exponent is clamped at 0, which only changes log k below the
+    junction, where the first branch applies; it keeps the exponential
+    finite there when whole columns are evaluated.
+    """
+    coef = (2.0 * m.beta * math.sqrt(N * m.C + m.beta**2) - 2.0 * m.beta**2) / (N * m.C)
+    return coef * np.exp(np.minimum(-(log_k - m.threshold(N)) / m.beta, 0.0))
+
+
 def test_upper_model_branches_agree_at_junction():
     m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
     for N in (5, 50, 500):
         t = m.threshold(N)
-        assert upper_model_smooth(m, N, t) == pytest.approx(
-            upper_model_tail(m, N, t), abs=1e-12
+        assert _upper_smooth_formula(m, N, t) == pytest.approx(
+            _upper_tail_formula(m, N, t), abs=1e-12
         )
 
 
@@ -193,7 +207,7 @@ def test_upper_model_values_follow_scalar_branch_rule():
             vals = upper_model_values(m, N, 99_999)
             for k in (1, 2, 40, 1000, 99_999):
                 log_k = np.log(float(k))
-                branch = upper_model_smooth if log_k < m.threshold(N) else upper_model_tail
+                branch = _upper_smooth_formula if log_k < m.threshold(N) else _upper_tail_formula
                 assert float(branch(m, N, log_k)) == vals[k]
 
 
@@ -384,7 +398,7 @@ def _upper_values_reference(m, N, k_max):
     logk = np.zeros(k_max + 1)
     logk[1:] = np.log(np.arange(1, k_max + 1, dtype=float))
     out = np.where(
-        logk < m.threshold(N), upper_model_smooth(m, N, logk), upper_model_tail(m, N, logk)
+        logk < m.threshold(N), _upper_smooth_formula(m, N, logk), _upper_tail_formula(m, N, logk)
     )
     out[0] = 1.0
     return out
@@ -735,17 +749,17 @@ def test_model_values_match_branch_formulas():
             )
 
 
-def test_upper_column_tail_is_upper_model_tail_bitwise():
-    # the in-place exponential branch against the function, array and scalar
+def test_upper_column_tail_is_tail_formula_bitwise():
+    # the in-place exponential branch against the branch formula, array and scalar
     for m in (UpperModel(3.62, 2.0), UpperModel(C=0.8 * CRITICAL_C, beta=1.5)):
         for N, k_max in ((1, 50), (30, 2**16), (40, 10**6)):
             col = upper_model_values(m, N, k_max)
             logk = np.log(np.arange(1, k_max + 1, dtype=float))
             j = 1 + int(np.searchsorted(logk, m.threshold(N)))
             assert j <= k_max, (N, k_max)  # the column crosses the junction
-            np.testing.assert_array_equal(col[j:], upper_model_tail(m, N, logk[j - 1 :]))
+            np.testing.assert_array_equal(col[j:], _upper_tail_formula(m, N, logk[j - 1 :]))
             for k in (j, (j + k_max) // 2, k_max):
-                assert col[k] == upper_model_tail(m, N, float(logk[k - 1]))
+                assert col[k] == _upper_tail_formula(m, N, float(logk[k - 1]))
 
 
 def test_certify_upper_memory_per_k_across_junction():

@@ -1,12 +1,13 @@
-"""SHA-256 of evolve payloads, held across changes.
+"""SHA-256 of CLI payloads, held across changes.
 
-The benchmark's payloads are ``evolve --N N --kmax 1000000`` at p = 1/2,
-hashed from the session chain of ``conftest.critical_chain``; a few smaller
-ones, each an edge case of the writers, are written by the CLI here.  Bytes
-above the direct convolution cutoff come from numpy's FFT, so the table is
-keyed to the numpy version that recorded it, and under any other version
-the test skips and names it.  A change that alters these outputs on purpose
-records the new digests and says so.
+The benchmark's evolve payloads are ``evolve --N N --kmax 1000000`` at
+p = 1/2, hashed from the session chain of ``conftest.critical_chain``; a
+few smaller ones, each an edge case of the writers, and four ``bounds``
+reports are written by the CLI here.  Bytes above the direct convolution
+cutoff come from numpy's FFT, so the table is keyed to the numpy version
+that recorded it, and under any other version the test skips and names it.
+A change that alters these outputs on purpose records the new digests and
+says so.
 """
 
 import hashlib
@@ -34,6 +35,14 @@ _DIGESTS = {
             "e849deb647941f43c8f0e5aa58b2220eb3eaa754ff38b59d52154f192fa9d6ca",
         "--N 12":
             "9a05d53519d8d7c4ed09ad33d2e16e9f2aede41f09c2986d0882631c5f343740",
+        "--model upper --C 3.62 --beta 2 --N-range 10000:10100 --k-range 1:100000":
+            "07ecbbe1314029ac5c3587590e18b3cf42947ba505eec37ab70e9980b21e9602",
+        "--model lower --K 12000 --c 1 --N-range 10000:10050 --k-range 12000:200000":
+            "ebafeb6d7bbf1b64ab679f54b1e97f3dab79f156e01d7936e77001b83dface21",
+        "--model upper --N-range 30:36 --k-range 12293 --emit-grid":
+            "03d8efcd4e54503e38b21514c73e40f1dab856b1404b0d5b5cbc3dd9c95aafb0",
+        "--model lower --K 12000 --N-range 96:106 --k-range 12000:24293 --emit-grid":
+            "7093e0a8522f6dc510aa3d469f3140a3ad784552a8f0692584ce91d4e8c94eb4",
     },
 }
 
@@ -44,6 +53,16 @@ _CLI_PAYLOADS = [
     "--N 20 --p 0.7 --kmax 5000",
     "--N 25 --kmax 1000003 --format json",
     "--N 12",  # the full support
+]
+
+# bounds arguments of the reports the CLI writes here: the benchmark's two
+# certify scans, whose levels all take rhs(G), and two grids whose levels
+# convolve their own columns (the upper one crosses the junction at N = 35)
+_BOUNDS_PAYLOADS = [
+    "--model upper --C 3.62 --beta 2 --N-range 10000:10100 --k-range 1:100000",
+    "--model lower --K 12000 --c 1 --N-range 10000:10050 --k-range 12000:200000",
+    "--model upper --N-range 30:36 --k-range 12293 --emit-grid",
+    "--model lower --K 12000 --N-range 96:106 --k-range 12000:24293 --emit-grid",
 ]
 
 _PAYLOADS = [(fmt, level) for level, writers in CHAIN_PAYLOADS.items() for fmt, _ in writers]
@@ -62,10 +81,19 @@ def test_evolve_payload_digest(critical_chain, fmt, level):
 
 @pytest.mark.parametrize("args", _CLI_PAYLOADS)
 def test_cli_payload_digest(tmp_path, args):
+    _check_cli_digest(tmp_path, "evolve", args)
+
+
+@pytest.mark.parametrize("args", _BOUNDS_PAYLOADS)
+def test_bounds_payload_digest(tmp_path, args):
+    _check_cli_digest(tmp_path, "bounds", args)
+
+
+def _check_cli_digest(tmp_path, command, args):
     table = _DIGESTS.get(np.__version__)
     if table is None:
         pytest.skip(f"no digests recorded for numpy {np.__version__}")
     path = tmp_path / "payload"
-    assert main(["evolve", *args.split(), "--output", str(path)]) == 0
+    assert main([command, *args.split(), "--output", str(path)]) == 0
     got = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == table[args], f"evolve {args}: payload SHA-256 {got}"
+    assert got == table[args], f"{command} {args}: payload SHA-256 {got}"

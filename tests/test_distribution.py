@@ -26,8 +26,8 @@ from minplustree.distribution import (
     write_distribution_csv,
     write_distribution_json,
     _CSV_BLOCK_ROWS,
+    _ConvBlock,
     _clamp_probabilities,
-    _convolve,
     _fast_len,
     _levels,
     _support_window,
@@ -219,7 +219,7 @@ def _step_pmf_reference(m, policy):
         if window is not None:
             lo, hi = window
             seg = m.probs[lo : hi + 1]
-            conv = _convolve(seg, seg)  # X1 + X2 on [2*lo, 2*hi]
+            conv = _ConvBlock().convolve(seg, seg)[0]  # X1 + X2 on [2*lo, 2*hi]
             floor = -_clamp_probabilities(conv)
             if floor > 0.0:
                 # FFT round-off of size floor: drop the top run not above it,
@@ -413,10 +413,18 @@ def test_fft_convolution_bitwise_matches_fftconvolve(size):
     rng = np.random.default_rng(size)
     seg = rng.random(size)
     seg /= seg.sum()
-    np.testing.assert_array_equal(_convolve(seg, seg), fftconvolve(seg, seg))
     other = rng.random(size - 3)
-    np.testing.assert_array_equal(_convolve(seg, other), fftconvolve(seg, other))
-    np.testing.assert_array_equal(_convolve(other, seg), fftconvolve(other, seg))
+    # a kept block, sized by a longer transform first, serves the shorter
+    # ones from its head, for one operand and for two in either order
+    kept = _ConvBlock()
+    longer = rng.random(2 * size)
+    np.testing.assert_array_equal(kept.convolve(longer, longer)[0], fftconvolve(longer, longer))
+    block = kept.block
+    for a, b in ((seg, seg), (seg, other), (other, seg), (longer, seg)):
+        want = fftconvolve(a, b)
+        np.testing.assert_array_equal(_ConvBlock().convolve(a, b)[0], want)
+        np.testing.assert_array_equal(kept.convolve(a, b)[0], want)
+    assert kept.block is block
 
 
 def _chain_levels(p, cap, levels):

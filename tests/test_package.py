@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,6 +7,44 @@ import sys
 import pytest
 
 import minplustree
+
+
+_PACKAGE = os.path.dirname(os.path.abspath(minplustree.__file__))
+
+# the numpy calls that compute a convolution; one method owns them all
+_CONVOLUTION_CALLS = {"np.fft.rfft", "np.fft.irfft", "np.convolve",
+                      "numpy.fft.rfft", "numpy.fft.irfft", "numpy.convolve"}
+
+
+def _convolution_callers():
+    """The qualified name of each function in the package that calls one of
+    ``_CONVOLUTION_CALLS``, with its module, once per call."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in _CONVOLUTION_CALLS:
+                found.append(f"{module}:{'.'.join(scope) or '<module>'}")
+            visit(child, module, scope)
+
+    for name in sorted(os.listdir(_PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(_PACKAGE, name)) as fh:
+                visit(ast.parse(fh.read()), name[:-3], [])
+    return found
+
+
+def test_one_function_convolves():
+    # every convolution, in evolve, the bound scans and recurrence_rhs, runs
+    # through one method, which alone manages the FFT buffers
+    callers = _convolution_callers()
+    owner = "distribution:_ConvBlock.convolve"
+    assert owner in callers
+    others = sorted(set(callers) - {owner})
+    assert others == [], f"convolution computed outside {owner}: {', '.join(others)}"
 
 
 def test_all_names_resolve():
