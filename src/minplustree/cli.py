@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain or I/O error, 2 certificate violation under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -277,9 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call: ``parse_args``
+    keeps no state on a parser, and building one costs more than most calls."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -34,6 +34,8 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
@@ -313,6 +315,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` with each call made in a forked child.
+
+    Each child sends ``fn``'s result, or the exception it raised, pickled
+    through a pipe of its own and leaves through ``os._exit``, so it runs no
+    exit handler and flushes no buffer it inherited.  The results are read
+    and the children reaped in call order; a raised exception is raised
+    again here with its type, and a child that ends without a result
+    raises RuntimeError.  Whatever ends the call, no child outlives it.
+    """
+    pipes: list = []        # the read end of each child's pipe
+    pids: List[int] = []    # the children not yet reaped, in call order
+    try:
+        for args in zip(*iterables):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        try:
+                            result = (True, fn(*args))
+                        except Exception as exc:
+                            result = (False, exc)
+                        out.write(pickle.dumps(result))
+                        out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        results = []
+        for i, pipe in enumerate(pipes):
+            data = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                raise RuntimeError(f"sampler run {i} ended with exit status {code} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def run(cfg: SimConfig) -> EmpiricalSummary:
     """Sample ``cfg.n_samples`` root values and summarize them.
 
@@ -322,24 +376,19 @@ def run(cfg: SimConfig) -> EmpiricalSummary:
     the sample count draw nothing and are skipped; the rest are cut into
     one contiguous run per usable CPU.  When there are two runs or more,
     the platform can fork and no other thread runs (forking a threaded
-    process is unsafe), the runs go to a pool of forked processes, one per
-    run; otherwise this process makes them in turn.  Their counts are
-    merged in run order.
+    process is unsafe), each run is made in a forked child that sends its
+    counts back through a pipe (:func:`_fork_map`); otherwise this process
+    makes them in turn.  Their counts are merged in run order.
     """
     active = min(cfg.workers, cfg.n_samples)
     runs = min(_usable_cpus(), active)
     edges = [r * active // runs for r in range(runs + 1)]
     calls = ([cfg] * runs, edges[:-1], edges[1:])
 
-    parts = map(_run_counts, *calls)
-    if runs > 1 and threading.active_count() == 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(runs, mp_context=fork) as pool:
-                parts = list(pool.map(_run_counts, *calls))
+    if runs > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        parts = _fork_map(_run_counts, *calls)
+    else:
+        parts = map(_run_counts, *calls)
     counts: Dict[int, int] = {}
     for part in parts:
         for v, c in part.items():

@@ -1,8 +1,8 @@
 """Fixtures shared across test modules."""
 
 import hashlib
+import os
 import time
-from concurrent.futures import process
 from types import SimpleNamespace
 from typing import Dict, NamedTuple, Tuple
 
@@ -70,19 +70,21 @@ def critical_chain() -> CriticalChain:
 
 
 @pytest.fixture
-def process_pools(monkeypatch):
-    """The worker count of each process pool opened, in order, and the number
-    of calls submitted to them; ``simulate.run`` is the only opener."""
-    log = SimpleNamespace(opened=[], submitted=0)
+def forks(monkeypatch):
+    """The number of ``os.fork`` calls made in this process; ``simulate.run``
+    is the only caller."""
+    log = SimpleNamespace(count=0)
+    fork = os.fork
 
-    class Counted(process.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            log.opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counted():
+        log.count += 1
+        return fork()
 
-        def submit(self, *args, **kwargs):
-            log.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(os, "fork", counted)
     return log
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

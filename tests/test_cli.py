@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from minplustree import cli
 from minplustree.cli import build_parser, main
 from minplustree.distribution import KMAX_LIMIT
 from minplustree.regimes import LIMIT_K_MAX
@@ -35,6 +36,50 @@ def test_option_table_is_pinned():
         for name, parser in sub.choices.items()
     }
     assert got == OPTION_TABLE
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["series", "--fn", "h", "--k", "10"]) == 0
+        assert main(["regimes", "--p", "0.7"]) == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
+_STEP_SCAN = ["bounds", "--model", "lower", "--K", "50", "--N-range", "100:105",
+              "--k-range", "1:300", "--emit-grid"]
+
+
+def _scan_bytes(tmp_path, *extra):
+    out = tmp_path / "b.json"
+    assert main([*_STEP_SCAN, *extra, "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    # --step appends to a list: a parser that kept it would add the band twice
+    cli._parser.cache_clear()
+    plain = _scan_bytes(tmp_path)  # a fresh parser's output
+    cli._parser.cache_clear()
+    stepped = _scan_bytes(tmp_path, "--step", "100:1.5")
+    assert stepped != plain
+    assert _scan_bytes(tmp_path, "--step", "100:1.5") == stepped
+    assert _scan_bytes(tmp_path) == plain
+    # a usage error between two calls changes neither
+    with pytest.raises(SystemExit):
+        main([*_STEP_SCAN, "--step", "100:1.5", "--frobnicate"])
+    assert _scan_bytes(tmp_path, "--step", "100:1.5") == stepped
+    with pytest.raises(SystemExit):
+        main(["bounds", "--model", "lower", "--step", "oops"])
+    assert _scan_bytes(tmp_path) == plain
 
 
 def test_usage_error_on_bad_probability(capsys):

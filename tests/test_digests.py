@@ -2,10 +2,13 @@
 
 The benchmark's evolve payloads are ``evolve --N N --kmax 1000000`` at
 p = 1/2, hashed from the session chain of ``conftest.critical_chain``; a
-few smaller ones, each an edge case of the writers, and four ``bounds``
-reports are written by the CLI here.  Bytes above the direct convolution
-cutoff come from numpy's FFT, so the table is keyed to the numpy version
-that recorded it, and under any other version the test skips and names it.
+few smaller ones, each an edge case of the writers, four ``bounds``
+reports, the regimes sweep's nine reports and ``limit --N 40`` are written
+by the CLI here.  Bytes above the direct convolution cutoff come from
+numpy's FFT, so that table is keyed to the numpy version that recorded it,
+and under any other version the test skips and names it.  The ``sample``
+payloads are integer counts from Philox streams, the same on every host
+and numpy version, and are not keyed.
 A change that alters these outputs on purpose records the new digests and
 says so.
 """
@@ -43,7 +46,26 @@ _DIGESTS = {
             "03d8efcd4e54503e38b21514c73e40f1dab856b1404b0d5b5cbc3dd9c95aafb0",
         "--model lower --K 12000 --N-range 96:106 --k-range 12000:24293 --emit-grid":
             "7093e0a8522f6dc510aa3d469f3140a3ad784552a8f0692584ce91d4e8c94eb4",
+        "--p 0.25 --tol 1e-12": "63bfc024d8a3f6425f32f49fe26de87455f50e52d4668b77f54b03d6541f8b5d",
+        "--p 0.30 --tol 1e-12": "660b5dae9bd8ef06f3104f5c3faffbd3b1e6b2c77ad1fc1e1d1e8bf8acb30489",
+        "--p 0.325 --tol 1e-12": "b4d5c4b9c70a72259c6ca6e7ee0d4c89016dcb83e0d8609f25e61658aba5ce55",
+        "--p 0.35 --tol 1e-12": "e59dd0e7fce8d250ced040ebe62798d77e268b033a447f827345796d0d188693",
+        "--p 0.375 --tol 1e-12": "5317a05a9f57bb94eaff6920a28efbb5549d46f51bf022ef63a6946fa1bc8175",
+        "--p 0.40 --tol 1e-12": "c32ad3517b90849cee31edd6dfaa4258217967092f2e11611072ec3af660f25e",
+        "--p 0.41 --tol 1e-12": "e954816cd742b2a1390eee07b6ed90af469e8a617c87e0bd91ecd964f57793b1",
+        "--p 0.42 --tol 1e-12": "579045557e32d9ef1e6f521947aa1af314effd87bbf94c535f9a522c699543a8",
+        "--p 0.7": "90ccafc4220d8c680c2d60aa7311e2d21cd17194c7758b6ab1163b9a3c7f8b8f",
+        "--N 40": "d0bd7dbf0b45447bf8e9a21563ecf1e08bd6bbb4de9dea20f03e45ddb974c5c2",
     },
+}
+
+# SHA-256 of `sample --depth 10 --samples 1000000 --seed 1 --workers W` as CSV,
+# by W: the montecarlo workload's payload at one and two runs, and 64
+# substreams cut into one run per usable CPU
+_SAMPLE_DIGESTS = {
+    1: "767370b0054c99d55b75c6ff3551de45985d2a1fd88eb175751526a00a249a1d",
+    2: "8fd6f9ddefc39b003b541c3a0d075c7feecb01ab458e14fd1ef0ea14067ffc18",
+    64: "a2c5cde8d657c18512d08e8da2d396e526bd3df9ac662c1f49ddb160c0641677",
 }
 
 # evolve arguments of the payloads the CLI writes here
@@ -63,6 +85,14 @@ _BOUNDS_PAYLOADS = [
     "--model lower --K 12000 --c 1 --N-range 10000:10050 --k-range 12000:200000",
     "--model upper --N-range 30:36 --k-range 12293 --emit-grid",
     "--model lower --K 12000 --N-range 96:106 --k-range 12000:24293 --emit-grid",
+]
+
+# regimes arguments of the regimes-sweep workload's reports: eight subcritical
+# limit-curve solves and one supercritical classification
+_REGIMES_PAYLOADS = [
+    *[f"--p {p} --tol 1e-12" for p in ("0.25", "0.30", "0.325", "0.35", "0.375", "0.40",
+                                        "0.41", "0.42")],
+    "--p 0.7",
 ]
 
 _PAYLOADS = [(fmt, level) for level, writers in CHAIN_PAYLOADS.items() for fmt, _ in writers]
@@ -89,11 +119,31 @@ def test_bounds_payload_digest(tmp_path, args):
     _check_cli_digest(tmp_path, "bounds", args)
 
 
+@pytest.mark.parametrize("args", _REGIMES_PAYLOADS)
+def test_regimes_payload_digest(tmp_path, args):
+    _check_cli_digest(tmp_path, "regimes", args)
+
+
+def test_limit_payload_digest(tmp_path):
+    _check_cli_digest(tmp_path, "limit", "--N 40")
+
+
+@pytest.mark.parametrize("workers", sorted(_SAMPLE_DIGESTS))
+def test_sample_payload_digest(tmp_path, workers):
+    args = f"--depth 10 --samples 1000000 --seed 1 --workers {workers}"
+    got = _cli_digest(tmp_path, "sample", args)
+    assert got == _SAMPLE_DIGESTS[workers], f"sample {args}: payload SHA-256 {got}"
+
+
+def _cli_digest(tmp_path, command, args):
+    path = tmp_path / "payload"
+    assert main([command, *args.split(), "--output", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _check_cli_digest(tmp_path, command, args):
     table = _DIGESTS.get(np.__version__)
     if table is None:
         pytest.skip(f"no digests recorded for numpy {np.__version__}")
-    path = tmp_path / "payload"
-    assert main([command, *args.split(), "--output", str(path)]) == 0
-    got = hashlib.sha256(path.read_bytes()).hexdigest()
+    got = _cli_digest(tmp_path, command, args)
     assert got == table[args], f"{command} {args}: payload SHA-256 {got}"

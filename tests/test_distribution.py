@@ -3,7 +3,6 @@ import io
 import itertools
 import json
 import math
-import multiprocessing
 import re
 import time
 import tracemalloc
@@ -35,6 +34,7 @@ from minplustree.distribution import (
     _window_sum,
 )
 
+from conftest import assert_no_child_left
 from enum_oracle import enumerate_pmf
 
 
@@ -689,17 +689,17 @@ def _check_same_text(got, want):
         pytest.fail(f"line {i} differs at character {c}: got {a[at]!r}, want {b[at]!r}")
 
 
-def _check_writes(pools, tmp_path, writer, m, want):
+def _check_writes(forks, tmp_path, writer, m, want):
     """``writer(m, ...)`` gives ``want`` to a buffer and to a path, in this
-    process: it opens no process pool and leaves no child."""
+    process: it forks nothing and leaves no child."""
     buf = io.StringIO()
     writer(m, buf)
     _check_same_text(buf.getvalue(), want)
     path = tmp_path / "out"
     writer(m, str(path))
     _check_same_text(path.read_bytes().decode(), want)
-    assert pools.opened == []
-    assert multiprocessing.active_children() == []
+    assert forks.count == 0
+    assert_no_child_left()
 
 
 def _run_cases():
@@ -719,7 +719,7 @@ def _run_cases():
     ]
 
 
-def test_csv_blocks_match_row_by_row_reference(tmp_path, process_pools):
+def test_csv_blocks_match_row_by_row_reference(tmp_path, forks):
     cases = [_random_level(k_max, 3) for k_max in _BLOCK_CASES] + _run_cases()
     k_max = _BLOCK_CASES[-1]
     cases += [
@@ -732,7 +732,7 @@ def test_csv_blocks_match_row_by_row_reference(tmp_path, process_pools):
     assert cases[-2].tail_mass > 0.0 and cases[-1].tail_mass == 0.0
     for m in cases:
         want = _csv_reference(m)
-        _check_writes(process_pools, tmp_path, write_distribution_csv, m, want)
+        _check_writes(forks, tmp_path, write_distribution_csv, m, want)
 
 
 def test_runs_start_where_the_rows_stop_repeating():
@@ -762,13 +762,13 @@ class _FailingTarget(io.StringIO):
 
 
 @pytest.mark.parametrize("writer", [write_distribution_csv, write_distribution_json])
-def test_writer_error_propagates_and_leaves_no_process(process_pools, writer):
+def test_writer_error_propagates_and_leaves_no_process(forks, writer):
     target = _FailingTarget()
     with pytest.raises(OSError, match="no space left"):
         writer(_random_level(_BLOCK_CASES[-1], 4), target)
     assert target.calls == 3
-    assert process_pools.opened == []
-    assert multiprocessing.active_children() == []
+    assert forks.count == 0
+    assert_no_child_left()
 
 
 def test_csv_writer_memory_bounded_by_block(tmp_path):
@@ -801,7 +801,7 @@ def test_evolve_memory_per_cap_entry():
     assert peak <= 54 * cap
 
 
-def test_json_blocks_match_json_dumps(tmp_path, process_pools):
+def test_json_blocks_match_json_dumps(tmp_path, forks):
     k_max = _BLOCK_CASES[-1]
     cases = [_random_level(k, 5) for k in _BLOCK_CASES]
     cases += [
@@ -813,7 +813,7 @@ def test_json_blocks_match_json_dumps(tmp_path, process_pools):
     ]
     for m in cases:
         want = json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
-        _check_writes(process_pools, tmp_path, write_distribution_json, m, want)
+        _check_writes(forks, tmp_path, write_distribution_json, m, want)
 
 
 def test_json_writer_memory_bounded_by_block(tmp_path):

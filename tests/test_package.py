@@ -16,9 +16,17 @@ _CONVOLUTION_CALLS = {"np.fft.rfft", "np.fft.irfft", "np.convolve",
                       "numpy.fft.rfft", "numpy.fft.irfft", "numpy.convolve"}
 
 
-def _convolution_callers():
+def _modules():
+    """(name, parsed source) of each module in the package."""
+    for name in sorted(os.listdir(_PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(_PACKAGE, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
+def _callers(calls):
     """The qualified name of each function in the package that calls one of
-    ``_CONVOLUTION_CALLS``, with its module, once per call."""
+    ``calls``, with its module, once per call."""
     found = []
 
     def visit(node, module, scope):
@@ -26,25 +34,45 @@ def _convolution_callers():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in _CONVOLUTION_CALLS:
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in calls:
                 found.append(f"{module}:{'.'.join(scope) or '<module>'}")
             visit(child, module, scope)
 
-    for name in sorted(os.listdir(_PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(_PACKAGE, name)) as fh:
-                visit(ast.parse(fh.read()), name[:-3], [])
+    for module, tree in _modules():
+        visit(tree, module, [])
     return found
 
 
 def test_one_function_convolves():
     # every convolution, in evolve, the bound scans and recurrence_rhs, runs
     # through one method, which alone manages the FFT buffers
-    callers = _convolution_callers()
+    callers = _callers(_CONVOLUTION_CALLS)
     owner = "distribution:_ConvBlock.convolve"
     assert owner in callers
     others = sorted(set(callers) - {owner})
     assert others == [], f"convolution computed outside {owner}: {', '.join(others)}"
+
+
+def _imported(tree):
+    """The absolute module names that a parsed module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_one_function_forks():
+    # the sampler's runs fork and pipe their counts back without multiprocessing
+    # or concurrent.futures, which cost 15-18 ms of import and a manager thread
+    pools = sorted({module for module, tree in _modules() for name in _imported(tree)
+                    if name.split(".")[0] in ("multiprocessing", "concurrent")})
+    assert pools == [], f"process pool imported by {', '.join(pools)}"
+    owner = "simulate:_fork_map"
+    callers = _callers({"os.fork", "os.forkpty"})
+    assert owner in callers
+    others = sorted(set(callers) - {owner})
+    assert others == [], f"os.fork called outside {owner}: {', '.join(others)}"
 
 
 def test_all_names_resolve():
@@ -84,8 +112,8 @@ def test_cli_import_loads_no_scipy(cli_import_modules):
 
 
 def test_cli_import_loads_no_process_pool(cli_import_modules):
-    # the sampler, their only importer, imports these when it forks workers;
-    # concurrent.futures would pull in logging and traceback at start-up
+    # the library imports neither pool module; concurrent.futures would pull
+    # in logging and traceback at start-up
     cli = cli_import_modules[0]
     assert "minplustree.distribution" in cli
     assert "multiprocessing" not in cli

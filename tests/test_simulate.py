@@ -1,6 +1,7 @@
 import math
-import multiprocessing
+import os
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from minplustree import simulate
+from minplustree.cli import main
 from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.simulate import (
     EmpiricalSummary,
@@ -17,9 +19,10 @@ from minplustree.simulate import (
     run,
 )
 
+from conftest import assert_no_child_left
 from enum_oracle import enumerate_pmf
 
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+_CAN_FORK = hasattr(os, "fork")
 
 
 def _rng(seed=0):
@@ -253,17 +256,17 @@ def test_run_memory_bounded_by_block():
     assert peak < 1.5 * simulate._BLOCK_BYTES
 
 
-def test_worker_pool_bounded_by_cpus(monkeypatch, process_pools):
-    # 64 substreams share one pool of at most one forked process per usable CPU
+def test_worker_pool_bounded_by_cpus(monkeypatch, forks):
+    # 64 substreams fork at most one process per usable CPU
     cfg = SimConfig(depth=3, p_plus=0.5, n_samples=200, seed=5, workers=64)
     summaries = []
     for cpus in (2, 1):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda cpus=cpus: cpus)
-        process_pools.opened.clear()
+        forks.count = 0
         summaries.append(run(cfg))
-        assert process_pools.opened == ([2] if cpus == 2 and _CAN_FORK else [])
-        assert multiprocessing.active_children() == []
-    # substreams and shares follow the worker index, not the pool size
+        assert forks.count == (2 if cpus == 2 and _CAN_FORK else 0)
+        assert_no_child_left()
+    # substreams and shares follow the worker index, not the process count
     assert summaries[0] == summaries[1]
 
 
@@ -279,20 +282,18 @@ def _spawned_counts(cfg):
     return dict(counts)
 
 
-def test_substream_runs_submit_one_pool_call_per_cpu(monkeypatch, process_pools):
-    # 20000 substreams go to the pool as one contiguous run per usable CPU
+def test_substream_runs_submit_one_pool_call_per_cpu(monkeypatch, forks):
+    # 20000 substreams go to the forked children as one contiguous run per usable CPU
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     cfg = SimConfig(depth=2, p_plus=0.5, n_samples=20_000, seed=11, workers=20_000)
     summary = run(cfg)
-    if _CAN_FORK:
-        assert process_pools.opened == [2]
-    assert process_pools.submitted <= 2
+    assert forks.count == (2 if _CAN_FORK else 0)
     assert summary.counts == _spawned_counts(cfg)
     # whole shares, uneven ones, and substreams past the sample count
     for workers, n in ((3, 3001), (37, 5000), (64, 40)):
         cfg = SimConfig(depth=5, p_plus=0.5, n_samples=n, seed=workers, workers=workers)
         assert run(cfg).counts == _spawned_counts(cfg)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_substream_set_up_counts_in_work_limit():
@@ -305,7 +306,7 @@ def test_substream_set_up_counts_in_work_limit():
     SimConfig(depth=4, p_plus=0.5, n_samples=10, seed=0, workers=2**40)
 
 
-def test_sampler_forks_nothing_beside_another_thread(monkeypatch, process_pools):
+def test_sampler_forks_nothing_beside_another_thread(monkeypatch, forks):
     # forking a process that runs threads is unsafe, so the sampler stays serial
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     cfg = SimConfig(depth=5, p_plus=0.5, n_samples=1000, seed=9, workers=4)
@@ -318,8 +319,45 @@ def test_sampler_forks_nothing_beside_another_thread(monkeypatch, process_pools)
         release.set()
         other.join(timeout=60.0)
     assert not other.is_alive()
-    assert process_pools.opened == []
+    assert forks.count == 0
     assert beside == run(cfg)
+
+
+@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
+def test_child_error_is_raised_again_and_leaves_no_child(monkeypatch, forks, tmp_path, capsys):
+    # run 0 fails at once while run 1 would outlast the test: the error ends
+    # the call with its own type and message, and run 1's child is stopped
+    def failing(cfg, lo, hi):
+        if lo == 0:
+            raise ValueError(f"substreams {lo}..{hi - 1} failed")
+        time.sleep(60.0)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_run_counts", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^substreams 0\.\.1 failed$"):
+        run(SimConfig(depth=3, p_plus=0.5, n_samples=100, seed=1, workers=4))
+    assert forks.count == 2
+    assert_no_child_left()
+    rc = main(["sample", "--depth", "3", "--samples", "100", "--workers", "4",
+               "--output", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "error: substreams 0..1 failed" in capsys.readouterr().err
+    assert forks.count == 4
+    assert_no_child_left()
+    assert time.perf_counter() - t0 < 30.0
+
+
+@pytest.mark.skipif(not _CAN_FORK, reason="the platform cannot fork")
+def test_child_without_result_is_an_error(monkeypatch):
+    def leaving(cfg, lo, hi):
+        os._exit(3)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_run_counts", leaving)
+    with pytest.raises(RuntimeError, match="run 0 ended with exit status 3"):
+        run(SimConfig(depth=3, p_plus=0.5, n_samples=100, seed=1, workers=2))
+    assert_no_child_left()
 
 
 def test_scaled_quantiles_ordering():
