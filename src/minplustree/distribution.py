@@ -151,20 +151,24 @@ def _window_sum(arr: np.ndarray, lo: int, hi: int) -> float:
     leaf summed in an order of its own.  A node's subtree depends on its
     length alone, so ``np.add.reduce`` of its entries is its sum in the
     tree.  This walks the same tree: a node outside the window adds 0.0,
-    and a node inside it, or a leaf, is one ``np.add.reduce``.  A sum of
-    the window's slice alone groups the entries differently and can differ
-    in its last bits.
+    and a node at least half inside it, or a leaf, is one
+    ``np.add.reduce``.  A sum of the window's slice alone groups the
+    entries differently and can differ in its last bits.
     """
+    return _tree_node(arr, lo, hi, 0, arr.size)
 
-    def node(start: int, n: int) -> float:
-        if start > hi or start + n <= lo:
-            return 0.0
-        if n <= 128 or (lo <= start and start + n <= hi + 1):
-            return float(np.add.reduce(arr[start : start + n]))
-        half = n // 2 - n // 2 % 8
-        return node(start, half) + node(start + half, n - half)
 
-    return node(0, arr.size)
+def _tree_node(arr: np.ndarray, lo: int, hi: int, start: int, n: int) -> float:
+    """The tree node of ``n`` entries from ``start`` in :func:`_window_sum`.
+    A module function: a nested one that calls itself is a reference cycle,
+    garbage that only the collector frees, once per sum."""
+    inside = min(start + n, hi + 1) - max(start, lo)
+    if inside <= 0:
+        return 0.0
+    if n <= 128 or 2 * inside >= n:
+        return float(np.add.reduce(arr[start : start + n]))
+    half = n // 2 - n // 2 % 8
+    return _tree_node(arr, lo, hi, start, half) + _tree_node(arr, lo, hi, start + half, n - half)
 
 
 def _check_mass(probs: np.ndarray, tail_mass: float, window: Optional[tuple[int, int]]) -> None:
@@ -478,18 +482,16 @@ def recurrence_rhs(q: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
+def step_survival(s: SurvivalCurve) -> SurvivalCurve:
     """Advance the survival curve one level by the critical quadratic recurrence.
 
     v'[k] = v[k] + (1/2) * sum_{l=1}^{k-1} (v[l]-v[l+1]) * (v[k-l]-v[k]).
 
-    Only stated for the balanced mixture; the entries k <= k_max stay exact
-    regardless of what the curve does beyond the cap, because the recurrence
-    for slot k touches slots 1..k only.  Used as a small-scale oracle against
-    :func:`step_pmf`.
+    This is the recurrence of the balanced mixture, p = 1/2; the entries
+    k <= k_max stay exact regardless of what the curve does beyond the cap,
+    because the recurrence for slot k touches slots 1..k only.  Used as a
+    small-scale oracle against :func:`step_pmf`.
     """
-    if p_plus != 0.5:
-        raise ValueError("survival-form recurrence only applies at p_plus = 1/2")
     new = s.values + recurrence_rhs(s.values)
     new[:2] = 1.0
     return SurvivalCurve(values=new, tail_floor=0.0, level=s.level + 1)
@@ -498,17 +500,11 @@ def step_survival(s: SurvivalCurve, p_plus: float = 0.5) -> SurvivalCurve:
 def evolve(n_target: int, p_plus: float, policy: TruncationPolicy) -> MassFunction:
     """The level-``n_target`` distribution under the given truncation policy.
 
-    Every level's cap is checked against ``KMAX_LIMIT``, and a fixed cap's
-    levels against ``_MAX_LEVEL_WORK``, before the first step, so a policy
-    that would outgrow memory or time fails at once.  (Full-support caps
-    double per level, so they pass ``KMAX_LIMIT`` by level 28.)
+    A policy that would outgrow memory or time fails before the first step
+    (see :func:`_levels`).
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
-    if policy.k_max is not None:
-        _check_level_work(n_target - 1, policy.k_max)
-    for level in range(2, n_target + 1):
-        policy.cap_for(level)
     m = point_mass_initial(p_plus, k_max=2)
     for level, probs, tail in _levels(m, n_target, policy):
         if level == n_target:
@@ -522,6 +518,9 @@ def _levels(
     """``(level, probs, tail_mass)`` for the levels after ``m`` up to
     ``n_target``, each checked as a :class:`MassFunction` would be.
 
+    The library's one level loop.  Before it allocates, it checks a fixed
+    cap's levels against ``_MAX_LEVEL_WORK`` and each level's cap against
+    ``KMAX_LIMIT`` in order, so a refusal names the first level that fails.
     Two arrays of the largest cap hold the levels in turn, and one
     :class:`_ConvBlock` serves every level's self-convolution, so a level
     allocates only window-sized temporaries below the direct cutoff.  Every
@@ -529,6 +528,10 @@ def _levels(
     above it costs no time per level.  A yielded ``probs`` is a read-only
     view that the level after next overwrites.
     """
+    if policy.k_max is not None:
+        _check_level_work(n_target - m.level, policy.k_max)
+    for level in range(m.level + 1, n_target + 1):
+        policy.cap_for(level)
     bufs = [np.zeros(policy.cap_for(n_target) + 1) for _ in range(2)]  # caps never shrink
     dirty: list = [None, None]  # the support window each buffer last held
     block = _ConvBlock()

@@ -15,12 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .distribution import (
+    MassFunction,
     TruncationPolicy,
     _MONO_SLACK,
     _cross_term,
+    _levels,
     moments,
     point_mass_initial,
-    step_pmf,
 )
 
 SUBCRITICAL_K_CAP = 4096    # support cap for evolving the subcritical chain level by level
@@ -30,17 +31,17 @@ LIMIT_K_MAX = 1 << 17       # largest limit-curve prefix; the direct solve is O(
 @dataclass(frozen=True)
 class RegimeReport:
     p_plus: float
-    classification: str
     fixed_point_c2: Optional[float] = None
     growth_base: Optional[float] = None
     limit_survival: Optional[np.ndarray] = None
 
+    @property
+    def classification(self) -> str:
+        if self.p_plus == 0.5:
+            return "critical"
+        return "subcritical" if self.p_plus < 0.5 else "supercritical"
+
     def __post_init__(self) -> None:
-        expected = "critical" if self.p_plus == 0.5 else (
-            "subcritical" if self.p_plus < 0.5 else "supercritical"
-        )
-        if self.classification != expected:
-            raise ValueError(f"classification {self.classification!r} inconsistent with p = {self.p_plus}")
         if self.limit_survival is not None:
             vals = self.limit_survival[1:]
             if np.any(np.diff(vals) > _MONO_SLACK):
@@ -121,22 +122,21 @@ def supercritical_growth(p: float, n_max: int) -> np.ndarray:
 
     Full support (cap 2^(N-1)) keeps the tail at zero, so the means are
     exact; each must reach (2p)^(N-1) with the single-leaf level counting
-    as N = 1.  Returned 1-indexed padded (out[0] is nan).
+    as N = 1.  The levels come from :func:`evolve`'s level loop, which
+    refuses an oversized chain before the first step.  Returned 1-indexed
+    padded (out[0] is nan).
     """
     if not 0.5 < p <= 1.0:
         raise ValueError("defined for 1/2 < p <= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    policy = TruncationPolicy()
-    policy.cap_for(n_max)  # the largest level's cap, refused before the first step
     means = np.full(n_max + 1, math.nan)
-    m = point_mass_initial(p, k_max=2)
+    m = point_mass_initial(p)
     means[1] = moments(m).mean_x
-    for level in range(2, n_max + 1):
-        m = step_pmf(m, policy)
-        if m.tail_mass != 0.0:
+    for level, probs, tail in _levels(m, n_max, TruncationPolicy()):
+        if tail != 0.0:
             raise ArithmeticError("full-support evolution must not lump any tail")
-        means[level] = moments(m).mean_x
+        means[level] = moments(MassFunction(probs, tail, level, p)).mean_x
     floors = (2.0 * p) ** (np.arange(n_max + 1) - 1)
     if np.any(means[1:] < floors[1:] * (1.0 - 1e-9)):
         raise ArithmeticError("geometric growth floor violated")
@@ -150,7 +150,7 @@ def classify(p: float, k_max: int = 64, tol: float = 1e-7) -> RegimeReport:
         raise ValueError("p must be a probability")
     _check_curve_args(k_max, tol)
     if p == 0.5:
-        return RegimeReport(p_plus=p, classification="critical")
+        return RegimeReport(p_plus=p)
     if p < 0.5:
         curve = limit_survival(p, k_max=k_max, tol=tol) if p > 0.0 else None
         if curve is None:
@@ -158,11 +158,6 @@ def classify(p: float, k_max: int = 64, tol: float = 1e-7) -> RegimeReport:
             curve = np.ones(k_max + 1)
             curve[2:] = 0.0
         c2 = subcritical_fixed_point(p) if p > 0.0 else 0.0
-        return RegimeReport(
-            p_plus=p,
-            classification="subcritical",
-            fixed_point_c2=c2,
-            limit_survival=curve,
-        )
+        return RegimeReport(p_plus=p, fixed_point_c2=c2, limit_survival=curve)
     supercritical_growth(p, 12)  # growth floor sanity over 12 levels before reporting
-    return RegimeReport(p_plus=p, classification="supercritical", growth_base=2.0 * p)
+    return RegimeReport(p_plus=p, growth_base=2.0 * p)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -108,9 +109,10 @@ def test_step_survival_k1_always_one():
         assert s.values[1] == 1.0
 
 
-def test_step_survival_rejects_other_p():
+def test_step_survival_has_no_p_plus():
+    # the survival form is the balanced mixture's recurrence; no caller picks p
     s = make_survival([1.0, 0.5], level=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         step_survival(s, p_plus=0.4)
 
 
@@ -516,6 +518,16 @@ def test_window_sum_matches_whole_array_sum_bitwise():
         arr = np.zeros(n)
         arr[at] = 0.3
         assert _same_float(_window_sum(arr, at, at), float(arr.sum())) and _window_sum(arr, at, at) == 0.3
+
+
+def test_window_sum_leaves_no_garbage():
+    # the level loop sums twice per level: a sum must free all it made by
+    # reference counting, not leave a cycle for the collector
+    arr = np.zeros(2**16 + 3)
+    arr[1:300] = 1.0 / 299
+    gc.collect()
+    assert _window_sum(arr, 1, 299) == float(arr.sum())
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,15 @@ def test_one_function_convolves():
     assert others == [], f"convolution computed outside {owner}: {', '.join(others)}"
 
 
+def test_one_level_loop():
+    # evolve and supercritical_growth step their chains through _levels, which
+    # admits the whole chain before it allocates; step_pmf is one step for callers
+    callers = sorted(set(_callers({"_step_into", "distribution._step_into"})))
+    assert callers == ["distribution:_levels", "distribution:step_pmf"]
+    stepping = sorted(set(_callers({"step_pmf", "distribution.step_pmf", "minplustree.step_pmf"})))
+    assert stepping == [], f"step_pmf called in the package by {', '.join(stepping)}"
+
+
 def _imported(tree):
     """The absolute module names that a parsed module imports."""
     for node in ast.walk(tree):

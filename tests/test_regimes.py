@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minplustree import regimes
-from minplustree.distribution import TruncationPolicy, point_mass_initial, step_pmf
+from minplustree.distribution import TruncationPolicy, moments, point_mass_initial, step_pmf
 from minplustree.regimes import (
     LIMIT_K_MAX,
     SUBCRITICAL_K_CAP,
@@ -162,9 +162,26 @@ def test_supercritical_oversized_level_refused_before_first_step():
 
 
 def test_supercritical_huge_level_named_not_built():
+    # the chain is refused at its first oversized level, as evolve refuses it
+    with pytest.raises(ValueError, match="cap 134217728 at level 28 "):
+        supercritical_growth(0.6, 10**5)
     # 2^99999 has 30103 digits: the cap is named as a power, not formatted as an integer
     with pytest.raises(ValueError, match=r"cap 2\^99999 at level 100000 "):
-        supercritical_growth(0.6, 10**5)
+        TruncationPolicy().cap_for(10**5)
+
+
+@pytest.mark.parametrize("p", [0.51, 0.7, 1.0])
+def test_supercritical_growth_matches_step_pmf_loop(p):
+    # the means of a chain of step_pmf calls on fresh arrays, bit for bit;
+    # at p = 0.51 and 0.7 the last levels' windows pass the direct cutoff
+    n_max = 20
+    want = np.full(n_max + 1, np.nan)
+    m = point_mass_initial(p)
+    want[1] = moments(m).mean_x
+    for level in range(2, n_max + 1):
+        m = step_pmf(m, TruncationPolicy())
+        want[level] = moments(m).mean_x
+    assert supercritical_growth(p, n_max).tobytes() == want.tobytes()
 
 
 def test_classify_all_regimes():
@@ -198,9 +215,15 @@ def test_classify_all_min_edge():
     assert np.all(rep.limit_survival[2:] == 0.0)
 
 
-def test_report_consistency_enforced():
-    with pytest.raises(ValueError):
+def test_report_classification_is_not_an_argument():
+    # the classification follows from p_plus, so no report can contradict it
+    with pytest.raises(TypeError):
         RegimeReport(p_plus=0.4, classification="supercritical")
+
+
+def test_report_classification_follows_p():
+    got = [RegimeReport(p_plus=p).classification for p in (0.4, 0.5, 0.7)]
+    assert got == ["subcritical", "critical", "supercritical"]
 
 
 def test_report_json_shape():
