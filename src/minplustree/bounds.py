@@ -24,10 +24,10 @@ import numpy as np
 
 from .distribution import (
     CRITICAL_C,
-    KMAX_LIMIT,
     SurvivalCurve,
     _MONO_SLACK,
-    _check_level_work,
+    _UNIT_COST,
+    _admit,
     recurrence_rhs,
 )
 
@@ -466,18 +466,17 @@ def _certify(
 
 
 def _grid_ranges(n_range: RangeLike, k_range: RangeLike, keep_grid: bool) -> tuple:
-    """The normalized ranges; k_hi and a kept grid's cell count must not exceed
-    ``KMAX_LIMIT``, and the scan's levels of k_hi entries not ``_MAX_LEVEL_WORK``."""
+    """The normalized ranges of a scan and its kept grid that :func:`_admit` admits."""
     n_lo, n_hi = _norm_range(n_range)
     k_lo, k_hi = _norm_range(k_range)
     if n_lo < 1 or k_lo < 1:
         raise ValueError("ranges must start at 1 or above")
-    if k_hi > KMAX_LIMIT:
-        raise ValueError(f"k_hi = {k_hi} is above the limit of {KMAX_LIMIT}")
-    _check_level_work(n_hi - n_lo + 1, k_hi)
-    cells = (n_hi - n_lo + 1) * (k_hi - k_lo + 1)
-    if keep_grid and cells > KMAX_LIMIT:
-        raise ValueError(f"a grid of {cells} cells is above the limit of {KMAX_LIMIT}")
+    levels = n_hi - n_lo + 1
+    cells = levels * (k_hi - k_lo + 1) if keep_grid else 0
+    grid = _UNIT_COST["grid B"] + cells * _UNIT_COST["grid cell B"] if keep_grid else 0
+    _admit(f"a scan of {levels} levels of {k_hi} entries and a grid of {cells} cells",
+           k_hi * _UNIT_COST["scan k B"] + grid,
+           levels * (k_hi * _UNIT_COST["scan k ps"] + _UNIT_COST["level ps"]))
     return (n_lo, n_hi), (k_lo, k_hi)
 
 

@@ -17,8 +17,9 @@ import numpy as np
 from . import bounds, regimes, series, simulate
 from .distribution import (
     CRITICAL_C,
-    KMAX_LIMIT,
     TruncationPolicy,
+    _UNIT_COST,
+    _admit,
     _write_text,
     evolve,
     write_distribution_csv,
@@ -123,8 +124,7 @@ def _build_lower_model(args: argparse.Namespace) -> bounds.LowerStepModel:
     # head: a_k = b_k below 33, squared log up to the threshold (the documented
     # construction); both pieces shrink when K itself is small
     K = args.K
-    if K > KMAX_LIMIT:  # before b, about 24 B per K, is built
-        raise ValueError(f"K = {K} is above the limit of {KMAX_LIMIT}")
+    _admit(f"a lower model of K = {K}", K * _UNIT_COST["model K B"], K * _UNIT_COST["model K ps"])
     head = min(33, K)
     b = np.zeros(K)
     a = bounds.b_sequence(max(head - 1, 1))
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = sub.add_parser("regimes", help="classify a mixture probability")
     p_reg.add_argument("--p", type=_probability, required=True)
     p_reg.add_argument("--k-max", type=_positive_int, default=64,
-                       help=f"limit-curve prefix length, at most {regimes.LIMIT_K_MAX}")
+                       help="limit-curve prefix length, at most 2267786: the solve is O(k_max^2)")
     p_reg.add_argument("--tol", type=float, default=1e-7,
                        help="bound on the limit curve's balance-equation residual")
     p_reg.add_argument("--output", default=None)

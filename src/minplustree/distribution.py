@@ -28,17 +28,24 @@ CRITICAL_C = math.pi ** 2 / 3
 
 NORM_EPS = 1e-9          # tolerance for sum(probs) + tail_mass == 1
 DIRECT_CONV_MAX = 4096   # direct O(K^2) convolution at or below this size
-KMAX_LIMIT = 1 << 26     # largest support cap of any level: 512 MiB per array
-# A level of n entries costs about (n + _LEVEL_OVERHEAD) * 200 ns of one core, in
-# evolve and in a bound scan alike: 50-260 ns per entry, plus 22 us per level for
-# a scan at k = 10 and 48 us for evolve at cap 2.  An evolve level's n is its
-# support window, which never passes the cap, so the guard counts cap entries
-# as an upper bound.
-_LEVEL_OVERHEAD = 256      # one level's fixed cost, in entries
-_MAX_LEVEL_WORK = 1 << 33  # levels * (entries + _LEVEL_OVERHEAD): about half an hour
 _CLAMP_FLOOR = -1e-12    # FFT round-off more negative than this is a bug
 _MONO_SLACK = 1e-12      # float slack when validating monotone curves
 _CSV_BLOCK_ROWS = 1 << 14  # rows (JSON: values) per write; a level's text is never whole
+
+_BYTE_BUDGET = 1 << 32       # _admit's budgets, fixed so that every host refuses alike:
+_PS_BUDGET = 1800 * 10**12   # 4 GiB, half of an 8 GB host, and half an hour of one core
+# Measured cost per unit of work on 2 vCPUs: peak bytes (B; resident, so numpy's FFT scratch
+# counts) and picoseconds of one core (ps), whole numbers so that each check is exact.
+_UNIT_COST = {
+    "level ps": 50_000_000,                         # one evolve or scan level, whatever its size
+    "cap entry B": 77, "cap entry ps": 200_000,     # evolve: B per cap entry, ps per entry-level
+    "scan k B": 104, "scan k ps": 200_000,          # bounds: B per k of k_hi, ps per k and level
+    "grid B": 3 << 20, "grid cell B": 87,           # a kept grid: json's pending chunks, per cell
+    "series k B": 25, "series k ps": 30_000,        # one term of h, B, M or S
+    "model K B": 25, "model K ps": 20_000,          # the lower model's head b_1..b_{K-1}
+    "curve k B": 88, "curve k ps": 350,             # the limit curve: B per k, ps per k^2
+    "leaf ps": 3_500, "substream ps": 150_000_000,  # a sampler's leaf visit; a substream's set-up
+}
 
 
 def _fast_len(n: int) -> int:
@@ -58,14 +65,12 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _check_level_work(levels: int, entries: int) -> None:
-    """Refuse a loop of ``levels`` levels of ``entries`` entries above ``_MAX_LEVEL_WORK``."""
-    work = levels * (entries + _LEVEL_OVERHEAD)
-    if work > _MAX_LEVEL_WORK:
-        raise ValueError(
-            f"{levels} levels of {entries} entries cost {work:.3e} entry updates, "
-            f"more than the limit of {_MAX_LEVEL_WORK:.3e}"
-        )
+def _admit(request: str, nbytes: int, picoseconds: int) -> None:
+    """Refuse a request, before it allocates, whose predicted cost passes a budget."""
+    if not (nbytes <= _BYTE_BUDGET and picoseconds <= _PS_BUDGET):  # negated: NaN fails
+        raise ValueError(f"{request} would take {nbytes:.3e} B and {picoseconds / 10**12:.3e} "
+                         f"core-seconds, more than the limit of {_BYTE_BUDGET:.3e} B and "
+                         f"{_PS_BUDGET // 10**12} core-seconds")
 
 
 def _cross_term(q: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
@@ -110,7 +115,7 @@ class TruncationPolicy:
     full support {1, ..., 2^(level-1)}: nothing is ever truncated, so the
     tail stays zero and the evolution is exact.  Under a fixed cap the mass
     above it is lumped into a conserved scalar tail; ``tail_mode`` names
-    that and must be ``"lump"``.  A cap above ``KMAX_LIMIT`` is refused.
+    that and must be ``"lump"``.  :meth:`cap_for` admits one level of a cap.
     """
 
     k_max: Optional[int] = None
@@ -128,16 +133,13 @@ class TruncationPolicy:
     def cap_for(self, level: int) -> int:
         if self.k_max is not None:
             cap = int(self.k_max)
-        elif level - 1 > KMAX_LIMIT.bit_length():
-            cap = math.inf  # 2^(level - 1), far above the limit, is not built
+        elif level - 1 > _BYTE_BUDGET.bit_length():
+            cap = math.inf  # 2^(level - 1) entries, more than the budget has bytes: not built
         else:
             cap = max(2, 1 << (level - 1))
-        if cap > KMAX_LIMIT:
-            shown = f"2^{level - 1}" if cap == math.inf else cap
-            raise ValueError(
-                f"cap {shown} at level {level} is above the limit of {KMAX_LIMIT} entries; "
-                "pass a smaller fixed k_max"
-            )
+        shown = f"2^{level - 1}" if cap == math.inf else cap
+        _admit(f"cap {shown} at level {level}", cap * _UNIT_COST["cap entry B"],
+               cap * _UNIT_COST["cap entry ps"] + _UNIT_COST["level ps"])
         return cap
 
 
@@ -518,9 +520,9 @@ def _levels(
     """``(level, probs, tail_mass)`` for the levels after ``m`` up to
     ``n_target``, each checked as a :class:`MassFunction` would be.
 
-    The library's one level loop.  Before it allocates, it checks a fixed
-    cap's levels against ``_MAX_LEVEL_WORK`` and each level's cap against
-    ``KMAX_LIMIT`` in order, so a refusal names the first level that fails.
+    The library's one level loop.  Before it allocates, it admits a fixed
+    cap's chain as a whole, or the full support's caps level by level, so
+    that a refusal names the first level that fails (level 27 at most).
     Two arrays of the largest cap hold the levels in turn, and one
     :class:`_ConvBlock` serves every level's self-convolution, so a level
     allocates only window-sized temporaries below the direct cutoff.  Every
@@ -528,10 +530,13 @@ def _levels(
     above it costs no time per level.  A yielded ``probs`` is a read-only
     view that the level after next overwrites.
     """
-    if policy.k_max is not None:
-        _check_level_work(n_target - m.level, policy.k_max)
-    for level in range(m.level + 1, n_target + 1):
-        policy.cap_for(level)
+    if policy.k_max is None:
+        for level in range(m.level + 1, n_target + 1):
+            policy.cap_for(level)
+    else:
+        levels, cap = n_target - m.level, policy.k_max
+        _admit(f"{levels} levels of {cap} entries", cap * _UNIT_COST["cap entry B"],
+               levels * (cap * _UNIT_COST["cap entry ps"] + _UNIT_COST["level ps"]))
     bufs = [np.zeros(policy.cap_for(n_target) + 1) for _ in range(2)]  # caps never shrink
     dirty: list = [None, None]  # the support window each buffer last held
     block = _ConvBlock()

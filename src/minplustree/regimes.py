@@ -18,6 +18,8 @@ from .distribution import (
     MassFunction,
     TruncationPolicy,
     _MONO_SLACK,
+    _UNIT_COST,
+    _admit,
     _cross_term,
     _levels,
     moments,
@@ -25,7 +27,6 @@ from .distribution import (
 )
 
 SUBCRITICAL_K_CAP = 4096    # support cap for evolving the subcritical chain level by level
-LIMIT_K_MAX = 1 << 17       # largest limit-curve prefix; the direct solve is O(k_max^2)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def limit_survival(p: float, k_max: int = 64, tol: float = 1e-7) -> np.ndarray:
     (1-p) c^2 - c + r_k = 0, taken as 2 r_k / (1 + sqrt(1 - 4 (1-p) r_k)) to
     avoid cancellation.  That root is the limit: level by level each entry moves
     as x -> (1-p) x^2 + r with r rising to r_k, never passing it from x = 0.
-    O(k_max^2), so ``k_max`` is refused above ``LIMIT_K_MAX``.  ArithmeticError
+    O(k_max^2), and admitted as such: ``k_max`` is at most 2,267,786.  ArithmeticError
     if the balance residual of the result exceeds ``tol``.
     """
     if not 0.0 < p < 0.5:
@@ -94,10 +95,12 @@ def limit_survival(p: float, k_max: int = 64, tol: float = 1e-7) -> np.ndarray:
 
 
 def _check_curve_args(k_max: int, tol: float) -> None:
-    if not 2 <= k_max <= LIMIT_K_MAX:
-        raise ValueError(f"k_max must lie in [2, {LIMIT_K_MAX}], got {k_max}")
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2, got {k_max}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _admit(f"a limit curve of k_max = {k_max} entries", k_max * _UNIT_COST["curve k B"],
+           k_max**2 * _UNIT_COST["curve k ps"])
 
 
 def stationarity_residual(c: np.ndarray, p: float) -> float:

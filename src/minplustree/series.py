@@ -14,7 +14,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .distribution import CRITICAL_C, KMAX_LIMIT, MassFunction, moments
+from .distribution import CRITICAL_C, MassFunction, _UNIT_COST, _admit, moments
 
 PI2_OVER_6 = math.pi**2 / 6
 LIMIT_MEAN = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -37,9 +37,10 @@ def _log_ratio_sum(j: np.ndarray, k: int) -> float:
 
 
 def _check_k(k: int, lo: int) -> None:
-    """Refuse k outside [lo, KMAX_LIMIT] before any array of k terms exists."""
-    if not lo <= k <= KMAX_LIMIT:
-        raise ValueError(f"k must lie in [{lo}, {KMAX_LIMIT}], got {k}")
+    """Refuse k below lo, or k terms that :func:`_admit` refuses, before they exist."""
+    if k < lo:
+        raise ValueError(f"k must be >= {lo}, got {k}")
+    _admit(f"a series of k = {k} terms", k * _UNIT_COST["series k B"], k * _UNIT_COST["series k ps"])
 
 
 def h(k: int) -> float:

@@ -23,9 +23,7 @@ is drawn and ignored) and a node above it one bit, p in {0, 1} draws
 none, and other p take about 7 words per 64 nodes.  The generator is
 seeded through ``numpy``'s SeedSequence spawning, which makes
 worker substreams provably non-overlapping and runs reproducible across
-platforms.  A request of more than ``_MAX_LEAF_SAMPLES`` leaf visits, each
-substream's set-up counted as ``_SUBSTREAM_LEAVES`` of them, is refused
-before anything is allocated.
+platforms.
 """
 
 from __future__ import annotations
@@ -42,14 +40,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Un
 
 import numpy as np
 
-from .distribution import CRITICAL_C, MassFunction, _write_text
+from .distribution import CRITICAL_C, MassFunction, _UNIT_COST, _admit, _write_text
 
 MAX_DEPTH = 63                      # values fit in uint64: X_N <= 2^(N-1)
 _BLOCK_BYTES = 1 << 21              # arrays one block of subtrees materializes
 _TABLE_HEIGHT = 4                   # bottom levels read from one table entry per subtree
-_MAX_LEAF_SAMPLES = 1 << 38         # leaf visits and set-up: 1.4 to 16 minutes of a core
-# set-up of one substream (55-150 us) in leaf visits (0.3-0.7 ns at p = 1/2, 1-3.5 ns at other p)
-_SUBSTREAM_LEAVES = 1 << 17
 QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
@@ -73,13 +68,8 @@ class SimConfig:
         leaves = self.n_samples * 2 ** (self.depth - 1)
         # substreams past the sample count draw nothing and are never set up
         substreams = min(self.workers, self.n_samples)
-        set_up = substreams * _SUBSTREAM_LEAVES
-        if leaves + set_up > _MAX_LEAF_SAMPLES:
-            raise ValueError(
-                f"{self.n_samples} samples at depth {self.depth} visit {leaves:.3e} leaves, "
-                f"and setting up {substreams} substreams costs {set_up:.3e} more: more than "
-                f"the limit of {_MAX_LEAF_SAMPLES:.3e}"
-            )
+        ps = leaves * _UNIT_COST["leaf ps"] + substreams * _UNIT_COST["substream ps"]
+        _admit(f"{leaves:.3e} leaves on {substreams} substreams", 3 * _BLOCK_BYTES // 2, ps)
 
 
 @dataclass(frozen=True)

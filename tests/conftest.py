@@ -88,3 +88,21 @@ def assert_no_child_left():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """``(request, nbytes, picoseconds)`` of each admission in the package,
+    in call order; ``_admit`` still refuses as before."""
+    from minplustree import bounds, cli, distribution, regimes, series, simulate
+
+    log = []
+    admit = distribution._admit
+
+    def recorded(request, nbytes, picoseconds):
+        log.append((request, nbytes, picoseconds))
+        admit(request, nbytes, picoseconds)
+
+    for module in (distribution, bounds, cli, regimes, series, simulate):
+        monkeypatch.setattr(module, "_admit", recorded)
+    return log

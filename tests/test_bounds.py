@@ -25,7 +25,6 @@ from minplustree.bounds import (
 from minplustree.distribution import (
     CRITICAL_C,
     DIRECT_CONV_MAX,
-    KMAX_LIMIT,
     TruncationPolicy,
     _cross_term,
     evolve,
@@ -702,14 +701,16 @@ def test_certify_counts_nan_residuals_as_violations():
 
 
 def test_scan_size_refused_before_allocation():
+    # a scan takes 104 B per k of k_hi: 41,297,762 fit the byte budget, one more does not
     m = UpperModel(C=1.1 * CRITICAL_C, beta=2.0)
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
-        certify_upper(m, (10, 11), (1, KMAX_LIMIT + 1))
-    # 5 levels of 13421773 slots: a kept grid of KMAX_LIMIT + 1 cells
-    assert 5 * 13_421_773 == KMAX_LIMIT + 1
-    with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
-        certify_lower(make_log_splice(12000, 1.0), (1, 5), (1, 13_421_773), keep_grid=True)
+    bounds._grid_ranges((10, 11), (1, 41_297_762), False)
+    with pytest.raises(ValueError, match="a scan of 2 levels of 41297763 entries .* more than"):
+        certify_upper(m, (10, 11), (1, 41_297_763))
+    # a kept grid adds 87 B per cell and 3 MiB: the scan alone fits, its grid does not
+    bounds._grid_ranges((1, 5), (1, 8_000_000), False)
+    with pytest.raises(ValueError, match="and a grid of 40000000 cells .* more than"):
+        certify_lower(make_log_splice(12000, 1.0), (1, 5), (1, 8_000_000), keep_grid=True)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -762,7 +763,7 @@ def test_upper_column_tail_is_tail_formula_bitwise():
                 assert col[k] == _upper_tail_formula(m, N, float(logk[k - 1]))
 
 
-def test_certify_upper_memory_per_k_across_junction():
+def test_certify_upper_memory_per_k_across_junction(admissions):
     # columns past the junction write their tail in place, as first-branch ones do
     m = UpperModel(3.62, 2.0)
     k_hi = 2**16
@@ -775,9 +776,10 @@ def test_certify_upper_memory_per_k_across_junction():
     finally:
         tracemalloc.stop()
     assert peak <= 90 * k_hi
+    assert peak <= admissions[0][1]  # the admission's figure is no smaller
 
 
-def test_certify_lower_memory_per_k():
+def test_certify_lower_memory_per_k(admissions):
     # the bound the README states for one scan at k_hi entries
     m = make_log_splice(12000, 1.0)
     k_hi = 2**16
@@ -788,6 +790,7 @@ def test_certify_lower_memory_per_k():
     finally:
         tracemalloc.stop()
     assert peak <= 90 * k_hi
+    assert peak <= admissions[0][1]  # the admission's figure is no smaller
 
 
 def test_certificate_report_consistency_enforced():

@@ -5,13 +5,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from minplustree import cli
 from minplustree.cli import build_parser, main
-from minplustree.distribution import KMAX_LIMIT
-from minplustree.regimes import LIMIT_K_MAX
 from minplustree.series import evaluate
 
 
@@ -128,16 +127,16 @@ def test_evolve_auto_cap_guard(capsys):
     rc = main(["evolve", "--N", "200", "--kmax", "auto"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    # the full support first passes 2^26 entries at level 28
+    # the full support first passes the byte budget, at 77 B per entry, at level 27
     t0 = time.perf_counter()
-    assert main(["evolve", "--N", "28", "--kmax", "auto"]) == 1
+    assert main(["evolve", "--N", "27", "--kmax", "auto"]) == 1
     assert time.perf_counter() - t0 < 1.0
-    assert "cap 134217728 at level 28" in capsys.readouterr().err
-    # a fixed cap above 2^26 entries is refused before the first level
+    assert "cap 67108864 at level 27" in capsys.readouterr().err
+    # a fixed cap above 55,778,796 entries is refused before the first level
     t0 = time.perf_counter()
-    assert main(["evolve", "--N", "3", "--kmax", str(2**26 + 1)]) == 1
+    assert main(["evolve", "--N", "3", "--kmax", "55778797"]) == 1
     assert time.perf_counter() - t0 < 1.0
-    assert "above the limit" in capsys.readouterr().err
+    assert "2 levels of 55778797 entries" in capsys.readouterr().err
 
 
 def test_evolve_outputs_identical(tmp_path):
@@ -291,22 +290,27 @@ def test_bounds_non_finite_constant_is_an_error(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("argv", [
-    ["series", "--fn", "h", "--k", str(KMAX_LIMIT + 1)],
-    ["bounds", "--model", "upper", "--N-range", "10:11", "--k-range", str(KMAX_LIMIT + 1)],
+    ["series", "--fn", "h", "--k", "171798692"],
+    ["bounds", "--model", "upper", "--N-range", "10:11", "--k-range", "41297763"],
 ])
 def test_oversized_k_fails_fast(capsys, argv):
+    # the first k past the byte budget: 25 B per term of a series, 104 B per k of a scan
     t0 = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - t0 < 1.0
-    assert str(KMAX_LIMIT) in capsys.readouterr().err
+    named = {"series": "a series of k = 171798692 terms",
+             "bounds": "a scan of 2 levels of 41297763 entries"}
+    assert f"error: {named[argv[0]]} " in capsys.readouterr().err
 
 
 def test_bounds_lower_oversized_K_fails_fast(capsys):
-    t0 = time.perf_counter()
-    assert main(["bounds", "--model", "lower", "--K", str(10**12), "--N-range", "100:101",
-                 "--k-range", "10"]) == 1
-    assert time.perf_counter() - t0 < 1.0
-    assert f"K = {10**12} is above the limit of {KMAX_LIMIT}" in capsys.readouterr().err
+    # the model's head takes 25 B per K whatever --k-range is: 171,798,691 fit the budget
+    for K in (10**12, 171_798_692):
+        t0 = time.perf_counter()
+        assert main(["bounds", "--model", "lower", "--K", str(K), "--N-range", "100:101",
+                     "--k-range", "10"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert f"error: a lower model of K = {K} would take" in capsys.readouterr().err
     assert main(["bounds", "--model", "lower", "--K", "3000000", "--N-range", "100:101",
                  "--k-range", "10"]) == 0
 
@@ -322,6 +326,78 @@ def test_unbounded_work_fails_fast(capsys, argv):
     assert main(argv) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "more than the limit" in capsys.readouterr().err
+
+
+# small valid arguments for each subcommand; the sweep sets one numeric option
+# at a time to a huge value on each of them
+_SWEEP_BASES = {
+    "evolve": [["--N", "3", "--kmax", "4"]],
+    "sample": [["--depth", "3", "--samples", "10", "--workers", "2"]],
+    "bounds": [["--model", "upper", "--N-range", "100:101", "--k-range", "10"],
+               ["--model", "lower", "--K", "50", "--N-range", "100:101", "--k-range", "10"]],
+    "series": [["--fn", "M", "--k", "10", "--A", "2"], ["--fn", "S", "--k", "10", "--alpha", "0.1"]],
+    "limit": [["--N", "3", "--kmax", "4"]],
+    "regimes": [["--p", "0.4", "--k-max", "8"], ["--p", "0.7"]],
+}
+_NOT_NUMERIC = {"--format", "--output", "--model", "--emit-grid", "--strict", "--fn"}
+_SWEEP_PEAK = 8 << 20  # traced bytes of any one run; the largest reads about 1 MiB
+
+
+def _sweep_argvs():
+    for command, options in OPTION_TABLE.items():
+        for option in (o for o in options if o not in _NOT_NUMERIC):
+            for value in (10**18, 2**63):
+                text = f"{value}:1.5" if option == "--step" else str(value)
+                for base in _SWEEP_BASES[command]:
+                    argv = [command, *base]
+                    if option in argv:
+                        argv[argv.index(option) + 1] = text
+                    else:
+                        argv += [option, text]
+                    yield argv
+    yield ["evolve", "--N", str(2**63), "--kmax", "auto"]  # 2^(N-1) is never built
+
+
+def test_numeric_options_at_huge_values_exit_fast(tmp_path, capsys, forks):
+    # every numeric option at 10^18 and 2^63: each run succeeds, fails with exit
+    # 1 or is a usage error, within a second and a stated traced peak, and the
+    # sampler forks no more children than there are usable CPUs
+    from minplustree.simulate import _usable_cpus
+
+    for argv in _sweep_argvs():
+        forks.count = 0
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--output", str(tmp_path / "out")])
+        except SystemExit as exc:
+            rc = exc.code
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert rc in (0, 1, 2), argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert peak <= _SWEEP_PEAK, argv
+        assert forks.count <= _usable_cpus(), argv
+    capsys.readouterr()
+
+
+def test_grid_peak_within_admission(tmp_path, admissions):
+    # a kept grid costs its array, its lists of floats and its JSON text: the
+    # admission counts 87 B per cell and 3 MiB for json's pending chunks, and a
+    # small grid's peak stays within that
+    for n_range, k_hi in (("1000:1001", 4096), ("1000:1003", 16384), ("1000:1015", 2**14)):
+        admissions.clear()
+        tracemalloc.start()
+        try:
+            assert main(["bounds", "--model", "upper", "--N-range", n_range, "--k-range",
+                         str(k_hi), "--emit-grid", "--output", str(tmp_path / "g.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (request, nbytes, _), = admissions
+        assert "and a grid of" in request
+        assert peak <= nbytes, (n_range, k_hi, peak, nbytes)
 
 
 def test_limit_csv_schema(tmp_path):
@@ -359,7 +435,7 @@ def test_regimes_has_no_n_max_flag():
 
 
 def test_regimes_bad_tol_and_k_max_fail_fast(capsys):
-    for extra in (["--tol", "nan"], ["--tol", "-1"], ["--k-max", str(LIMIT_K_MAX + 1)]):
+    for extra in (["--tol", "nan"], ["--tol", "-1"], ["--k-max", "2267787"]):
         t0 = time.perf_counter()
         assert main(["regimes", "--p", "0.4", *extra]) == 1
         assert time.perf_counter() - t0 < 1.0

@@ -14,7 +14,6 @@ import pytest
 
 from minplustree import distribution
 from minplustree.distribution import (
-    KMAX_LIMIT,
     MassFunction,
     SurvivalCurve,
     TruncationPolicy,
@@ -361,7 +360,7 @@ def test_truncation_policy_defaults():
     full = TruncationPolicy()
     assert full.k_max is None and full.tail_mode == "lump"
     # the full support {1, ..., 2^(level-1)}
-    assert [full.cap_for(level) for level in (2, 3, 5, 27)] == [2, 4, 16, 2**26]
+    assert [full.cap_for(level) for level in (2, 3, 5, 26)] == [2, 4, 16, 2**25]
     assert TruncationPolicy(k_max=8).cap_for(40) == 8
     with pytest.raises(ValueError):
         TruncationPolicy(k_max=1)
@@ -371,17 +370,21 @@ def test_truncation_policy_defaults():
             TruncationPolicy(k_max=8, tail_mode=mode)
 
 
+# the largest cap whose level fits the byte budget at 77 B per entry: 4 GiB / 77
+_LARGEST_CAP = 55_778_796
+
+
 def test_cap_ceiling_refused_before_evolving():
-    # full-support caps pass 2^26 at level 28; the refusal comes before the first step
+    # full-support caps pass the byte budget at level 27; the refusal comes before the first step
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"cap 134217728 at level 28"):
+    with pytest.raises(ValueError, match=r"cap 67108864 at level 27 .* more than the limit"):
         evolve(60, 0.5, TruncationPolicy())
     assert time.perf_counter() - t0 < 1.0
-    assert TruncationPolicy(k_max=KMAX_LIMIT).cap_for(40) == KMAX_LIMIT
-    too_wide = TruncationPolicy(k_max=KMAX_LIMIT + 1)
-    with pytest.raises(ValueError, match="at level 2 "):
+    assert TruncationPolicy(k_max=_LARGEST_CAP).cap_for(40) == _LARGEST_CAP
+    too_wide = TruncationPolicy(k_max=_LARGEST_CAP + 1)
+    with pytest.raises(ValueError, match=f"2 levels of {_LARGEST_CAP + 1} entries"):
         evolve(3, 0.5, too_wide)
-    with pytest.raises(ValueError, match="above the limit"):
+    with pytest.raises(ValueError, match=f"cap {_LARGEST_CAP + 1} at level 2 .* more than the limit"):
         step_pmf(point_mass_initial(0.5), too_wide)
 
 
@@ -390,11 +393,49 @@ def test_fixed_cap_level_count_refused_before_evolving():
     with pytest.raises(ValueError, match="999999999 levels of 100 entries"):
         evolve(10**9, 0.5, TruncationPolicy(k_max=100))
     assert time.perf_counter() - t0 < 0.1
-    # levels * (entries + overhead) at the limit passes, one level more does not
-    levels = distribution._MAX_LEVEL_WORK // (100 + distribution._LEVEL_OVERHEAD)
-    distribution._check_level_work(levels, 100)
+    # a level of cap 100 takes 100 x 200 ns + 50 us: 25,714,285 levels fit half
+    # an hour, one more does not
+    levels = 25_714_285
+    next(_levels(point_mass_initial(0.5), 1 + levels, TruncationPolicy(k_max=100)))
     with pytest.raises(ValueError, match="more than the limit"):
-        distribution._check_level_work(levels + 1, 100)
+        next(_levels(point_mass_initial(0.5), 2 + levels, TruncationPolicy(k_max=100)))
+
+
+def test_fixed_cap_chain_admitted_in_constant_checks(monkeypatch, admissions):
+    # a fixed cap is the same at every level, so the checks before the first
+    # level do not grow with the chain's length
+    cap_for = TruncationPolicy.cap_for
+    calls = []
+
+    def counted(self, level):
+        calls.append(level)
+        return cap_for(self, level)
+
+    monkeypatch.setattr(TruncationPolicy, "cap_for", counted)
+    counts = []
+    for n_target in (10, 10**7):
+        calls.clear()
+        admissions.clear()
+        t0 = time.perf_counter()
+        next(_levels(point_mass_initial(0.5), n_target, TruncationPolicy(k_max=2)))
+        assert time.perf_counter() - t0 < 0.1
+        counts.append((len(calls), len(admissions)))
+    assert counts[0] == counts[1]
+    # the full support checks its caps in order and names the first it refuses
+    calls.clear()
+    with pytest.raises(ValueError, match="cap 67108864 at level 27 "):
+        next(_levels(point_mass_initial(0.5), 2**63, TruncationPolicy()))
+    assert calls == list(range(2, 28))
+
+
+def test_admission_leaves_no_garbage():
+    # every request is admitted; an accepted one frees all it made by reference
+    # counting, and leaves no cycle for the collector
+    gc.collect()
+    next(_levels(point_mass_initial(0.5), 40, TruncationPolicy(k_max=100)))
+    next(_levels(point_mass_initial(0.5), 10, TruncationPolicy()))
+    distribution._admit("a request", 1, 1)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +839,7 @@ def test_csv_writer_memory_bounded_by_block(tmp_path):
         assert peak <= 32 * m.k_max
 
 
-def test_evolve_memory_per_cap_entry():
+def test_evolve_memory_per_cap_entry(admissions):
     # the bound the README states for one level of cap K: two mass arrays
     # (16 B) and the FFT block (32 B) peak at 50 B per entry (51 when
     # numpy.fft is first imported inside the trace), held with 4 B of margin;
@@ -811,6 +852,8 @@ def test_evolve_memory_per_cap_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 54 * cap
+    # and the admission's figure for the chain is no smaller
+    assert peak <= admissions[0][1] and admissions[0][0] == f"29 levels of {cap} entries"
 
 
 def test_json_blocks_match_json_dumps(tmp_path, forks):

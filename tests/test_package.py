@@ -62,6 +62,33 @@ def test_one_level_loop():
     assert stepping == [], f"step_pmf called in the package by {', '.join(stepping)}"
 
 
+# the limits that one admission rule replaced
+_REMOVED_LIMITS = {"KMAX_LIMIT", "_LEVEL_OVERHEAD", "_MAX_LEVEL_WORK", "_check_level_work",
+                   "_MAX_LEAF_SAMPLES", "_SUBSTREAM_LEAVES", "LIMIT_K_MAX"}
+
+
+def test_one_admission():
+    # every request is refused or admitted by one function with two budgets,
+    # and these are the requests that call it
+    defined = [f"{module}:{node.name}" for module, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_admit"]
+    assert defined == ["distribution:_admit"]
+    named = sorted({f"{module}:{name}" for module, tree in _modules() for node in ast.walk(tree)
+                    for name in (getattr(node, "id", None), getattr(node, "name", None),
+                                 getattr(node, "attr", None))
+                    if name in _REMOVED_LIMITS})
+    assert named == [], f"removed limits still named: {', '.join(named)}"
+    assert sorted(set(_callers({"_admit", "distribution._admit"}))) == [
+        "bounds:_grid_ranges",
+        "cli:_build_lower_model",
+        "distribution:TruncationPolicy.cap_for",
+        "distribution:_levels",
+        "regimes:_check_curve_args",
+        "series:_check_k",
+        "simulate:SimConfig.__post_init__",
+    ]
+
+
 def _imported(tree):
     """The absolute module names that a parsed module imports."""
     for node in ast.walk(tree):

@@ -6,7 +6,6 @@ import pytest
 from minplustree import regimes
 from minplustree.distribution import TruncationPolicy, moments, point_mass_initial, step_pmf
 from minplustree.regimes import (
-    LIMIT_K_MAX,
     SUBCRITICAL_K_CAP,
     RegimeReport,
     classify,
@@ -119,12 +118,14 @@ def test_tol_must_be_finite_and_positive(tol):
 
 
 def test_k_max_ceiling_refused_before_work():
-    # the solve at this size takes seconds; the refusal must not
+    # the solve takes 0.35 ns per k_max^2: 2,267,786 entries fit half an hour, as
+    # `regimes --k-max`'s help says, and one more does not; the refusal is immediate
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="k_max"):
-        limit_survival(0.4, k_max=LIMIT_K_MAX + 1)
-    with pytest.raises(ValueError, match="k_max"):
-        classify(0.0, k_max=LIMIT_K_MAX + 1)
+    regimes._check_curve_args(2_267_786, 1e-7)
+    with pytest.raises(ValueError, match="k_max = 2267787 .* more than the limit"):
+        limit_survival(0.4, k_max=2_267_787)
+    with pytest.raises(ValueError, match="k_max = 2267787 .* more than the limit"):
+        classify(0.0, k_max=2_267_787)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -154,16 +155,16 @@ def test_supercritical_domain():
 
 
 def test_supercritical_oversized_level_refused_before_first_step():
-    # level 28 of the full support has 2^27 entries; level 27 must not be built first
+    # level 27 of the full support has 2^26 entries; level 26 must not be built first
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="level 28"):
-        supercritical_growth(0.6, 28)
+    with pytest.raises(ValueError, match="level 27"):
+        supercritical_growth(0.6, 27)
     assert time.perf_counter() - t0 < 0.1
 
 
 def test_supercritical_huge_level_named_not_built():
     # the chain is refused at its first oversized level, as evolve refuses it
-    with pytest.raises(ValueError, match="cap 134217728 at level 28 "):
+    with pytest.raises(ValueError, match="cap 67108864 at level 27 "):
         supercritical_growth(0.6, 10**5)
     # 2^99999 has 30103 digits: the cap is named as a power, not formatted as an integer
     with pytest.raises(ValueError, match=r"cap 2\^99999 at level 100000 "):

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minplustree.distribution import KMAX_LIMIT, TruncationPolicy, evolve
+from minplustree import series
+from minplustree.distribution import TruncationPolicy, evolve
 from minplustree.series import (
     LIMIT_MEAN,
     PI2_OVER_6,
@@ -101,11 +102,13 @@ def test_S_alpha_domain():
 
 
 def test_series_k_above_limit_refused_before_allocation():
+    # a series takes 25 B per term: 171,798,691 terms fit the byte budget, one more does not
     t0 = time.perf_counter()
-    k = KMAX_LIMIT + 1
+    series._check_k(171_798_691, 1)
+    k = 171_798_692
     for call in (lambda: h(k), lambda: B(k), lambda: M(8, k), lambda: S_alpha(k, 0.1),
                  lambda: evaluate("h", k)):
-        with pytest.raises(ValueError, match=str(KMAX_LIMIT)):
+        with pytest.raises(ValueError, match=f"a series of k = {k} terms .* more than the limit"):
             call()
     assert time.perf_counter() - t0 < 0.1
 
@@ -148,7 +151,7 @@ def test_series_equal_to_expression_references(k):
         assert S_alpha(k, alpha) == _S_reference(k, alpha)
 
 
-def test_series_memory_per_k():
+def test_series_memory_per_k(admissions):
     k = 2**18
     limits = {
         "h": (lambda: h(k), 17),
@@ -157,6 +160,7 @@ def test_series_memory_per_k():
         "S": (lambda: S_alpha(k, 0.01), 25),
     }
     for name, (evaluate_at_k, bytes_per_k) in limits.items():
+        admissions.clear()
         tracemalloc.start()
         try:
             evaluate_at_k()
@@ -164,6 +168,7 @@ def test_series_memory_per_k():
         finally:
             tracemalloc.stop()
         assert peak <= bytes_per_k * k, name
+        assert peak <= admissions[0][1], name  # the admission's figure is no smaller
 
 
 def test_evaluate_registry():

@@ -243,7 +243,7 @@ def test_run_matches_exact_in_uint32():
     assert rep.chi2_pvalue > 0.001
 
 
-def test_run_memory_bounded_by_block():
+def test_run_memory_bounded_by_block(admissions):
     # numpy imports numpy.random on first use; import it before counting, so
     # that the peak is the run's alone whichever test ran first
     import numpy.random  # noqa: F401
@@ -254,6 +254,7 @@ def test_run_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * simulate._BLOCK_BYTES
+    assert peak <= admissions[0][1]  # the admission's figure is no smaller
 
 
 def test_worker_pool_bounded_by_cpus(monkeypatch, forks):
