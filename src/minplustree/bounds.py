@@ -16,6 +16,7 @@ hold for N large, so the empirical onset is data, not an error.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -204,8 +205,11 @@ class LowerStepModel:
         if b[1] != 0.0:
             raise ValueError("b_1 must be 0, so that q_{N,1} = 1")
         head = b[1 : self.K]
-        if head.size and (head.min() < 0.0 or np.any(np.diff(head) < -_MONO_SLACK)):
-            raise ValueError("b must be nonnegative and nondecreasing below K")
+        # negated, so that NaN fails: head.min() < 0.0 is False for a NaN
+        if not (0.0 <= head.min() and head.max() < math.inf):
+            raise ValueError("b must be finite and nonnegative below K")
+        if np.any(np.diff(head) < -_MONO_SLACK):
+            raise ValueError("b must be nondecreasing below K")
         prev = self.K
         for threshold, c_r in self.steps:
             if threshold <= prev:
@@ -352,17 +356,26 @@ def _norm_range(r: RangeLike, lo_default: int = 1) -> Tuple[int, int]:
 
 
 class _Profile(NamedTuple):
-    """A model's leading branch q_{N,k} = 1 - G[k] / D(N).
+    """A model's leading branch q_{N,k} = 1 - G[k] / (s N).
 
-    ``G(out)`` returns G on slots 0..k_hi (with G[1] = 0), written into the
-    free column ``out`` or taken from the model's own tables; ``D(N)`` is
-    the level's scale, and ``covers(N)`` tells whether the branch holds on
-    the whole column, slots 1..k_hi, at level N.
+    ``G()`` returns G on slots 0..k_hi (with G[1] = 0), ``s`` is the
+    branch's scale, and ``covers(N)`` tells whether the branch holds on the
+    whole column, slots 1..k_hi, at level N.  The branch's ends rise with N,
+    so the levels it covers form a suffix of any scan.
     """
 
-    G: Callable[[np.ndarray], np.ndarray]
-    D: Callable[[int], float]
+    G: Callable[[], np.ndarray]
+    s: float
     covers: Callable[[int], bool]
+
+
+def _branch_terms(G, R, gamma: float, direction: int, out=None) -> np.ndarray:
+    """T(gamma) = direction * (fl(G * gamma) - R), elementwise."""
+    t = np.multiply(G, gamma, out=out)
+    np.subtract(t, R, out=t)
+    if direction < 0:
+        np.negative(t, out=t)
+    return t
 
 
 def _certify(
@@ -372,33 +385,51 @@ def _certify(
     direction: int,
     keep_grid: bool,
     gamma_at=None,
-    check_validity: bool = False,
+    rises=None,
     profile: Optional[_Profile] = None,
 ) -> CertificateReport:
     """Scan the residual columns N = n_lo..n_hi over k = k_lo..k_hi.
 
     ``fill_column(N, out)`` writes the model array at level N, slots
-    0..k_hi, into ``out``.  The scan builds its buffers once and reuses
-    them from level to level: two model columns that swap roles and the
-    residual.
+    0..k_hi, into ``out``.  The levels whose column leaves the ``profile``'s
+    leading branch, a prefix n_lo..n_cov - 1 of the scan, take
+    direction * ((q_{N+1} - q_N) - rhs(q_N)): two model columns swap roles
+    from level to level, and each level calls recurrence_rhs on its own
+    column once the previous level's rhs is freed.
 
-    The rhs uses only differences of q and is quadratic in them, so a column
-    q = 1 - G / D has rhs(q) = rhs(G) / D^2.  A level whose column lies
-    wholly on the ``profile``'s leading branch therefore takes rhs(G),
-    computed once per scan by :func:`recurrence_rhs`, scaled by 1 / D(N)^2,
-    and runs no convolution; rhs(G) also avoids the cancellation of
-    convolving a column close to 1.  Every other level calls
-    recurrence_rhs on its own column, after the previous level's rhs is
-    freed, so at most one rhs and one convolution block are held at a time
-    (in both models the covered levels form a suffix of the scan).
+    The covered levels n_cov..n_hi build no column.  The rhs uses only
+    differences of q and is quadratic in them, so on the branch the
+    residual is exactly beta_N * direction * (G_k gamma_N - R_k), with
+    R = rhs(G), gamma_N = s N / (N + 1) and beta_N = 1 / (s N)^2.  It is
+    evaluated as fl(beta_N * T_k(gamma_N)) (see :func:`_branch_terms`),
+    from one recurrence_rhs(G) per scan, which also avoids convolving a
+    column close to 1 and subtracting two such columns.  Every rounding
+    step is monotone, gamma_N rises with N and beta_N falls, so T_k moves
+    one way over the covered levels, bit for bit, and the two end levels
+    bound it.  A slot whose T_k at the low end is above the smallest T at
+    the high end is never a level's minimum; a slot that is not negative
+    at the low end is never violated, and one whose residual at the high
+    end, scaled by the smallest beta, is negative is always violated.  So
+    a covered level evaluates only the remaining slots (and the first
+    always-violated one, and any that is NaN at an end), unless the grid
+    is kept, whose rows are written whole.
 
     ``gamma_at(N, col)``, when given, returns the smallest breathing-room
-    ratio of the residual column at N, or None where no slot qualifies.
-    ``check_validity`` tests each model column for being a survival curve
-    until the first one that is not.
+    ratio residual * N^2 / G of the residual column at N, or None where no
+    slot k >= 2 qualifies.  On the covered levels that ratio is
+    (gamma_N - R_k / G_k) / s^2, smallest at n_cov and the largest R / G.
+    ``rises(N)``, when given, turns on the check that each model column is
+    a survival curve, until the first one that is not: the uncovered levels
+    and n_cov run :func:`_first_invalid`.  A covered column entry rises with
+    N bit for bit, so past n_cov it stays within [-slack, 1] and can pass
+    its left neighbour only at a few slots; ``rises(N)`` checks those and
+    returns the first failure as (k, q_{N,k}), or None.
     """
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
+    n_cov = n_hi + 1
+    if profile is not None:
+        n_cov = n_lo + bisect.bisect_left(range(n_lo, n_hi + 1), True, key=profile.covers)
 
     min_margin = math.inf
     first_violation = None
@@ -409,48 +440,102 @@ def _certify(
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
-    rhs = profile_rhs = None
-    q, q_next = np.empty(k_hi + 1), np.empty(k_hi + 1)
-    col = np.empty(k_hi - k_lo + 1)
-    fill_column(n_lo, q)
-    for N in range(n_lo, n_hi + 1):
-        if profile is not None and profile.covers(N):
-            if profile_rhs is None:
-                rhs = None  # free the last per-level rhs before rhs(G) takes its own
-                profile_rhs = recurrence_rhs(profile.G(q_next))[k_lo:]
-                scaled = np.empty_like(profile_rhs)
-            D = profile.D(N)
-            rhs = np.divide(profile_rhs, D * D, out=scaled)
-        else:
-            rhs = None  # the previous level's rhs goes before this one is built
-            rhs = recurrence_rhs(q)[k_lo:]
-        fill_column(N + 1, q_next)
-        # direction * ((q_next - q) - rhs) on k_lo..k_hi
-        np.subtract(q_next[k_lo:], q[k_lo:], out=col)
-        np.subtract(col, rhs, out=col)
-        if direction < 0:
-            np.negative(col, out=col)
-        if grid is not None:
-            grid[N - n_lo] = col
-        m = float(col.min())  # NaN if any residual is
+    def tally(N: int, res: np.ndarray, slots=None, n_unseen: int = 0) -> None:
+        # residuals at column slots ``slots`` (all of them by default), and
+        # ``n_unseen`` violations at slots not among them
+        nonlocal min_margin, n_violations, first_violation
+        m = float(res.min())  # NaN if any residual is
         if m < min_margin or math.isnan(m):
             min_margin = m
+        n_violations += n_unseen
         if not m >= 0.0:
-            bad = np.flatnonzero(~(col >= 0.0))  # a NaN residual is a violation
+            bad = np.flatnonzero(~(res >= 0.0))  # a NaN residual is a violation
             n_violations += bad.size
             if bad.size and first_violation is None:
-                first_violation = (N, int(bad[0]) + k_lo, float(col[bad[0]]))
-        if gamma_at is not None:
-            ratio = gamma_at(N, col)
-            if ratio is not None:
-                saw_model1 = True
-                gamma = min(gamma, ratio)
-        if check_validity and curve_valid:
-            invalid = _first_invalid(q)
-            if invalid is not None:
-                curve_valid = False
-                first_invalid = (N, invalid[0], invalid[1])
-        q, q_next = q_next, q
+                i = int(bad[0])
+                k = i if slots is None else int(slots[i])
+                first_violation = (N, k + k_lo, float(res[i]))
+
+    def validate(N: int, invalid: Optional[Tuple[int, float]]) -> None:
+        nonlocal curve_valid, first_invalid
+        if invalid is not None:
+            curve_valid = False
+            first_invalid = (N, invalid[0], invalid[1])
+
+    q = None
+    if n_lo < n_cov or rises is not None:
+        q = np.empty(k_hi + 1)
+        fill_column(n_lo, q)
+    if n_lo < n_cov:
+        q_next, col = np.empty(k_hi + 1), np.empty(k_hi - k_lo + 1)
+        for N in range(n_lo, n_cov):
+            rhs = None  # the previous level's rhs goes before this one is built
+            rhs = recurrence_rhs(q)[k_lo:]
+            fill_column(N + 1, q_next)
+            # direction * ((q_next - q) - rhs) on k_lo..k_hi
+            np.subtract(q_next[k_lo:], q[k_lo:], out=col)
+            np.subtract(col, rhs, out=col)
+            if direction < 0:
+                np.negative(col, out=col)
+            if grid is not None:
+                grid[N - n_lo] = col
+            tally(N, col)
+            if gamma_at is not None:
+                ratio = gamma_at(N, col)
+                if ratio is not None:
+                    saw_model1 = True
+                    gamma = min(gamma, ratio)
+            if rises is not None and curve_valid:
+                validate(N, _first_invalid(q))
+            q, q_next = q_next, q
+        q_next = col = rhs = None
+
+    if n_cov <= n_hi:
+        if rises is not None and curve_valid:
+            validate(n_cov, _first_invalid(q))
+        q = None
+        G = profile.G()
+        R = recurrence_rhs(G)[k_lo:]
+        G = G[k_lo:]
+        s = profile.s
+
+        def scale(N: int) -> Tuple[float, float]:
+            # gamma_N rises and beta_N falls with N, bit for bit
+            sN = s * N
+            return s * (N / (N + 1)), 1.0 / (sN * sN)
+
+        gamma_lo, _ = scale(n_cov)
+        gamma_hi, beta_hi = scale(n_hi)
+        # each T_k is largest at the high end of the covered levels, smallest at the low end
+        g_high, g_low = (gamma_hi, gamma_lo) if direction > 0 else (gamma_lo, gamma_hi)
+        t = _branch_terms(G, R, g_high, direction)
+        nan = np.isnan(t)  # NaN at some level is NaN at an end
+        least_high = np.fmin.reduce(t)
+        always = ~(np.multiply(t, beta_hi, out=t) >= 0.0)  # violated at every level
+        t = _branch_terms(G, R, g_low, direction, out=t)
+        seen = ~(t >= 0.0) & ~always  # violated at some levels only
+        seen |= nan | np.isnan(t)
+        seen |= t <= least_high  # every level's minimum is among these
+        first_always = int(always.argmax())
+        seen[first_always] |= always[first_always]  # so a level's first violation is seen
+        slots = np.flatnonzero(seen)
+        n_unseen = int(np.count_nonzero(always & ~seen))
+        G_seen, R_seen = G[slots], R[slots]
+        t = nan = always = seen = None
+        if gamma_at is not None and max(k_lo, 2) <= k_hi:
+            i = max(k_lo, 2) - k_lo
+            saw_model1 = True
+            gamma = min(gamma, (gamma_lo - float(np.divide(R[i:], G[i:]).max())) / (s * s))
+        for N in range(n_cov, n_hi + 1):
+            g, beta = scale(N)
+            if grid is not None:
+                row = _branch_terms(G, R, g, direction, out=grid[N - n_lo])
+                np.multiply(row, beta, out=row)
+            res = _branch_terms(G_seen, R_seen, g, direction)
+            np.multiply(res, beta, out=res)
+            tally(N, res, slots, n_unseen)
+            if rises is not None and curve_valid and N > n_cov:
+                validate(N, rises(N))
 
     return CertificateReport(
         checked_n=(n_lo, n_hi),
@@ -521,7 +606,7 @@ def certify_upper(
         direction=+1,
         keep_grid=keep_grid,
         gamma_at=gamma_at,
-        profile=_Profile(lambda _: logk_sq, lambda N: N * m.C, lambda N: junction(N) > k_hi),
+        profile=_Profile(lambda: logk_sq, m.C, lambda N: junction(N) > k_hi),
     )
 
 
@@ -538,10 +623,10 @@ def certify_lower(
     logk, logk_sq = _log_tables(k_hi)
     bands = _lower_bands(m, k_hi)
 
-    def profile(G: np.ndarray) -> np.ndarray:
+    def profile() -> np.ndarray:
         # G = b below K and log(k)^2 / c_r on band r, so that q = 1 - G / N
+        G = np.empty(k_hi + 1)
         G[0] = 0.0
-        head = min(m.K, k_hi + 1)
         G[1:head] = m.b[1:head]
         for lo, hi, c in bands:
             np.divide(logk_sq[lo:hi], c, out=G[lo:hi])
@@ -551,14 +636,36 @@ def certify_lower(
         # no band reaches its zero branch, log k >= sqrt(N c), below k_hi
         return all(logk[hi - 1] < math.sqrt(N * c) for _, hi, c in bands)
 
+    # A covered column entry is 1 - H_k / (c_k N), with H = b below K and
+    # log(k)^2 above, c_k = 1 below K and the band's constant above.  It can
+    # pass its left neighbour only where H falls under one divisor, or where
+    # the divisor changes: at K and at each step threshold.
+    head = min(m.K, k_hi + 1)
+    can_rise = np.zeros(k_hi + 1, dtype=bool)
+    can_rise[2:head] = m.b[2:head] < m.b[1 : head - 1]
+    can_rise[m.K + 1 :] = logk_sq[m.K + 1 :] < logk_sq[m.K : -1]
+    can_rise[[lo for lo, _, _ in bands]] = True
+    slots = np.flatnonzero(can_rise)
+    pairs = np.stack((slots - 1, slots))  # each slot and its left neighbour
+    H = np.where(pairs < m.K, m.b[np.minimum(pairs, m.K - 1)], logk_sq[pairs])
+    c_k = np.ones(pairs.shape)
+    for lo, hi, c in bands:
+        c_k[(lo <= pairs) & (pairs < hi)] = c
+
+    def rises(N: int) -> Optional[Tuple[int, float]]:
+        # the arithmetic of _lower_column, slot by slot: c_k N is N below K
+        q = 1.0 - H / (c_k * N)
+        up = np.flatnonzero(q[1] - q[0] > _MONO_SLACK)
+        return (int(slots[up[0]]), float(q[1, up[0]])) if up.size else None
+
     return _certify(
         lambda N, out: _lower_column(m, N, logk, logk_sq, bands, out),
         n_range,
         (k_lo, k_hi),
         direction=-1,
         keep_grid=keep_grid,
-        check_validity=True,
-        profile=_Profile(profile, lambda N: float(N), covers),
+        rises=rises,
+        profile=_Profile(profile, 1.0, covers),
     )
 
 

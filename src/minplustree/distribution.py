@@ -502,11 +502,14 @@ def step_survival(s: SurvivalCurve) -> SurvivalCurve:
 def evolve(n_target: int, p_plus: float, policy: TruncationPolicy) -> MassFunction:
     """The level-``n_target`` distribution under the given truncation policy.
 
+    Level 1 is the single leaf, at the policy's cap like every later level.
     A policy that would outgrow memory or time fails before the first step
     (see :func:`_levels`).
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
+    if n_target == 1:
+        return point_mass_initial(p_plus, k_max=policy.cap_for(1))
     m = point_mass_initial(p_plus, k_max=2)
     for level, probs, tail in _levels(m, n_target, policy):
         if level == n_target:
@@ -530,6 +533,8 @@ def _levels(
     above it costs no time per level.  A yielded ``probs`` is a read-only
     view that the level after next overwrites.
     """
+    if n_target <= m.level:
+        return  # no level to step, so nothing to admit or allocate
     if policy.k_max is None:
         for level in range(m.level + 1, n_target + 1):
             policy.cap_for(level)

@@ -81,6 +81,7 @@ def limit_survival(p: float, k_max: int = 64, tol: float = 1e-7) -> np.ndarray:
     if not 0.0 < p < 0.5:
         raise ValueError("defined for 0 < p < 1/2")
     _check_curve_args(k_max, tol)
+    _admit_curve(k_max, solved=True)
     c = np.ones(k_max + 1)
     d = np.zeros(k_max)     # d[l] = c_l - c_{l+1}
     rev = np.zeros(k_max)   # rev[k_max - l] = c_l, so c_{k-1}, ..., c_2 is one slice
@@ -99,8 +100,13 @@ def _check_curve_args(k_max: int, tol: float) -> None:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _admit_curve(k_max: int, solved: bool) -> None:
+    """Admit a limit curve and its report by their bytes, and its solve, if
+    ``solved``, by its time."""
     _admit(f"a limit curve of k_max = {k_max} entries", k_max * _UNIT_COST["curve k B"],
-           k_max**2 * _UNIT_COST["curve k ps"])
+           k_max**2 * _UNIT_COST["curve k ps"] if solved else 0)
 
 
 def stationarity_residual(c: np.ndarray, p: float) -> float:
@@ -148,19 +154,25 @@ def supercritical_growth(p: float, n_max: int) -> np.ndarray:
 
 def classify(p: float, k_max: int = 64, tol: float = 1e-7) -> RegimeReport:
     """Regime report for a mixture probability: fixed point and limit curve
-    below 1/2, growth base above, bare classification at 1/2."""
+    below 1/2, growth base above, bare classification at 1/2.
+
+    ``k_max`` and ``tol`` are checked at every p, but only a report that
+    carries a limit curve is admitted by its size.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     _check_curve_args(k_max, tol)
     if p == 0.5:
         return RegimeReport(p_plus=p)
-    if p < 0.5:
-        curve = limit_survival(p, k_max=k_max, tol=tol) if p > 0.0 else None
-        if curve is None:
-            # all-min tree: the root value is identically 1
-            curve = np.ones(k_max + 1)
-            curve[2:] = 0.0
-        c2 = subcritical_fixed_point(p) if p > 0.0 else 0.0
-        return RegimeReport(p_plus=p, fixed_point_c2=c2, limit_survival=curve)
+    if 0.0 < p < 0.5:
+        curve = limit_survival(p, k_max=k_max, tol=tol)
+        return RegimeReport(p_plus=p, fixed_point_c2=subcritical_fixed_point(p),
+                            limit_survival=curve)
+    if p == 0.0:
+        # all-min tree: the root value is identically 1, so nothing is solved
+        _admit_curve(k_max, solved=False)
+        curve = np.ones(k_max + 1)
+        curve[2:] = 0.0
+        return RegimeReport(p_plus=p, fixed_point_c2=0.0, limit_survival=curve)
     supercritical_growth(p, 12)  # growth floor sanity over 12 levels before reporting
     return RegimeReport(p_plus=p, growth_base=2.0 * p)

@@ -1,6 +1,8 @@
+import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +237,10 @@ def test_models_refuse_non_finite_constants(bad):
         lambda: UpperModel(C=4.0, beta=bad),
         lambda: LowerStepModel(b=np.zeros(2), K=2, c=bad),
         lambda: LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, bad),)),
+        # in the head b_2..b_{K-1}, first, inside and last
+        lambda: LowerStepModel(b=np.array([0.0, 0.0, bad, 1.0, 2.0]), K=5, c=1.0),
+        lambda: LowerStepModel(b=np.array([0.0, 0.0, 1.0, bad, 2.0]), K=5, c=1.0),
+        lambda: LowerStepModel(b=np.array([0.0, 0.0, 1.0, 2.0, bad]), K=5, c=1.0),
     ):
         with pytest.raises(ValueError, match="finite"):
             make()
@@ -605,6 +611,249 @@ def test_scan_leaving_the_branch_uses_both_paths(monkeypatch, certify, model, n_
     _assert_scan_matches(got, want, profile_rows)
 
 
+def _profile_of(m, k_hi):
+    """The model's leading branch q = 1 - G / (s N): G on slots 0..k_hi, and s."""
+    log_sq = np.zeros(k_hi + 1)
+    log_sq[1:] = np.log(np.arange(1, k_hi + 1, dtype=float)) ** 2
+    if isinstance(m, UpperModel):
+        return log_sq, m.C
+    G = np.zeros(k_hi + 1)
+    head = min(m.K, k_hi + 1)
+    G[1:head] = m.b[1:head]
+    c_band = np.full(k_hi + 1, m.c)
+    for threshold, c_r in m.steps:
+        c_band[threshold:] = c_r
+    G[head:] = log_sq[head:] / c_band[head:]
+    return G, 1.0
+
+
+def _closed_form_row(G, R, s, N, direction):
+    """Every covered residual of level N, one closed-form expression per slot."""
+    gamma, beta = s * (N / (N + 1)), 1.0 / ((s * N) * (s * N))
+    return direction * (G * gamma - R) * beta
+
+
+def _report_from_grid(grid, n_range, k_range, gamma, curve_valid=True, first_invalid=None):
+    """The report fields that a scan reads off its residual grid."""
+    bad = np.flatnonzero(~(grid >= 0.0))
+    first = None
+    if bad.size:
+        i, j = divmod(int(bad[0]), grid.shape[1])
+        first = (n_range[0] + i, k_range[0] + j, float(grid[i, j]))
+    return CertificateReport(
+        checked_n=n_range,
+        checked_k=k_range,
+        min_margin=float(grid.min()) + 0.0,
+        first_violation=first,
+        n_violations=int(bad.size),
+        gamma_estimate=gamma,
+        curve_valid=curve_valid,
+        first_invalid_curve=first_invalid,
+        residuals=grid,
+    )
+
+
+def _closed_form_scan(certify, m, n_range, k_range):
+    """A scan with every covered (N, k) evaluated whole from the closed form,
+    the other levels from the per-level reference, and the report read off
+    the grid: no slot is skipped."""
+    (n_lo, n_hi), (k_lo, k_hi) = n_range, k_range
+    upper = certify is certify_upper
+    per_level = (_upper_reference if upper else _lower_reference)(m, n_range, k_range)
+    G, s = _profile_of(m, k_hi)
+    R = recurrence_rhs(G)[k_lo:]
+    G = G[k_lo:]
+    kk = np.arange(k_lo, k_hi + 1, dtype=float)
+    grid = per_level.residuals.copy()
+    gamma, saw = math.inf, False
+    for i, (N, covered) in enumerate(zip(range(n_lo, n_hi + 1),
+                                         _profile_rows(certify, m, n_range, k_hi))):
+        if covered:
+            grid[i] = _closed_form_row(G, R, s, N, +1 if upper else -1)
+        if not upper:
+            continue
+        if covered:
+            ratios = (s * (N / (N + 1)) - R[kk >= 2] / G[kk >= 2]) / (s * s)
+        else:
+            mask = (np.log(kk) < m.threshold(N)) & (kk >= 2)
+            ratios = grid[i][mask] * N**2 / np.log(kk[mask]) ** 2
+        if ratios.size:
+            saw = True
+            gamma = min(gamma, float(ratios.min()))
+    return _report_from_grid(grid, n_range, k_range, gamma if saw else None,
+                             per_level.curve_valid, per_level.first_invalid_curve)
+
+
+def _assert_bitwise(got, want):
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    fields = [{k: v for k, v in r.to_json_dict().items() if k != "residuals"}
+              for r in (got, want)]
+    assert json.dumps(fields[0], sort_keys=True) == json.dumps(fields[1], sort_keys=True)
+
+
+_FLAT_HEAD = np.concatenate(([0.0, 0.0], np.ones(398)))  # b_2..b_399 = 1
+_STEPS = LowerStepModel(b=np.zeros(2), K=2, c=1.0, steps=((100, 1.5), (5000, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "certify, model, n_range, k_range",
+    [
+        # below the critical constant most cells are violations: 1,228,278 of 1,230,000
+        (certify_upper, UpperModel(C=2.0, beta=2.0), (5000, 5040), (1, 30_000)),
+        (certify_upper, UpperModel(C=3.0, beta=2.0), (10_000, 10_010), (1, BIG_K)),
+        # violations that end as gamma_N rises: 2718 slots at N = 40, 2656 at 80
+        (certify_upper, UpperModel(C=2.5, beta=2.0), (40, 80), (1, 3000)),
+        (certify_upper, UpperModel(C=3.62, beta=2.0), (10_000, 10_020), (1, BIG_K)),
+        (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K)),
+        (certify_upper, UpperModel(C=0.5 * CRITICAL_C, beta=1.5), (100, 104), (3, BIG_K)),
+        (certify_lower, make_log_splice(12000, 1.0), (10_000, 10_004), (12_000, 12_000 + BIG_K)),
+        (certify_lower, make_log_splice(12000, 0.9 * CRITICAL_C), (10_000, 10_002),
+         (12_000, 14_000)),
+        (certify_lower, make_log_splice(12000, 1.0), (96, 106), (12_000, 12_000 + BIG_K)),
+        (certify_lower, make_log_splice(12000, 1.0), (10_000, 10_010), (5, 3000)),
+        # violations that start as gamma_N rises: 3317 slots at N = 100, 3318 at 140
+        (certify_lower, make_log_splice(12000, 2.0), (100, 140), (12_000, 20_000)),
+        (certify_lower, _STEPS, (2000, 2010), (1, BIG_K)),
+        (certify_lower, _STEPS, (10, 20), (1, BIG_K)),
+        # ties: G and rhs(G) vanish below K, so every residual there is 0
+        (certify_lower, LowerStepModel(b=np.zeros(400), K=400, c=1.0), (100, 110), (1, 3000)),
+        # ties among violations: T_k = -gamma_N on k = 3..399
+        (certify_lower, LowerStepModel(b=_FLAT_HEAD, K=400, c=1.0), (100, 110), (1, 3000)),
+    ],
+)
+def test_covered_levels_match_closed_form_bitwise(certify, model, n_range, k_range):
+    want = _closed_form_scan(certify, model, n_range, k_range)
+    got = certify(model, n_range, k_range, keep_grid=True)
+    _assert_bitwise(got, want)
+    plain = {k: v for k, v in got.to_json_dict().items() if k not in ("grid_shape", "residuals")}
+    assert json.dumps(certify(model, n_range, k_range).to_json_dict(), sort_keys=True) == \
+        json.dumps(plain, sort_keys=True)
+
+
+def test_closed_form_cases_reach_their_branches():
+    # the cases above include a scan that is nearly all violations, and one whose
+    # violations tie: k = 2..399 at each of its 11 levels
+    rep = certify_upper(UpperModel(C=2.0, beta=2.0), (5000, 5040), (1, 30_000))
+    assert rep.n_violations == 1_228_278
+    rep = certify_lower(LowerStepModel(b=_FLAT_HEAD, K=400, c=1.0), (100, 110), (1, 3000))
+    assert rep.n_violations == 11 * 398 and rep.first_violation[:2] == (100, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("s, slot", [(2.5, 7), (1.0, 40)])  # scale 1: violations before it
+def test_covered_non_finite_profile_matches_closed_form(bad, s, slot):
+    # NaN residuals on covered levels: each is a violation and makes the margin NaN
+    k_hi = 50
+    G = np.zeros(k_hi + 1)
+    G[1:] = np.log(np.arange(1, k_hi + 1, dtype=float)) ** 2
+    G[slot] = bad
+    profile = bounds._Profile(lambda: G.copy(), s, lambda N: True)
+    got = bounds._certify(None, (100, 104), (3, k_hi), direction=+1, keep_grid=True,
+                          profile=profile)
+    R = recurrence_rhs(G)[3:]
+    grid = np.array([_closed_form_row(G[3:], R, s, N, +1) for N in range(100, 105)])
+    _assert_bitwise(got, _report_from_grid(grid, (100, 104), (3, k_hi), None))
+    assert math.isnan(got.min_margin) and got.n_violations >= 5
+
+
+def test_covered_residuals_within_stated_bound_of_fraction_oracle():
+    # The exact residual of the model from the same float G and R = rhs(G) is
+    # direction * (G gamma_N - R) * beta_N with gamma_N = s N / (N + 1) and
+    # beta_N = 1 / (s N)^2.  Its float evaluation rounds gamma_N twice, G gamma_N
+    # and the difference once each, beta_N four times and the product once, so
+    #   |res - exact| <= 4u beta_N G gamma_N + 7u |exact|,   u = 2^-53,
+    # and the upper gamma, (gamma_{n_lo} - max R / G) / s^2, is within
+    # 5u (gamma_{n_lo} + max R / G) / s^2 of its exact value.
+    u = Fraction(1, 2**53)
+    k_hi = 3000
+    ks = [*range(1, 12), 100, 1000, 2999, k_hi]
+    cases = ((certify_upper, UpperModel(C=3.62, beta=2.0), +1),
+             (certify_lower, make_log_splice(12000, 1.0), -1))
+    for certify, m, direction in cases:
+        rep = certify(m, (10_000, 10_002), (1, k_hi), keep_grid=True)
+        G, s = _profile_of(m, k_hi)
+        R = recurrence_rhs(G)
+        S = Fraction(s)
+        for i, N in enumerate(range(10_000, 10_003)):
+            gamma, beta = S * N / (N + 1), 1 / (S * N) ** 2
+            for k in ks:
+                exact = direction * (Fraction(G[k]) * gamma - Fraction(R[k])) * beta
+                err = abs(Fraction(rep.residuals[i][k - 1]) - exact)
+                assert err <= 4 * u * beta * Fraction(G[k]) * gamma + 7 * u * abs(exact), (k, N)
+        if certify is certify_upper:
+            gamma = S * 10_000 / 10_001
+            top = max(Fraction(R[k]) / Fraction(G[k]) for k in range(2, k_hi + 1))
+            exact = (gamma - top) / S**2
+            assert abs(Fraction(rep.gamma_estimate) - exact) <= 5 * u * (gamma + top) / S**2
+
+
+def test_covered_scan_calls_rhs_once_and_builds_no_column_per_level(monkeypatch):
+    # one recurrence_rhs for the covered levels, and one per level before them; a
+    # column per level before them, plus the first covered level's for the lower
+    # model's validity check
+    calls = []
+    for name in ("recurrence_rhs", "_upper_column", "_lower_column"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    cases = (
+        (certify_upper, UpperModel(C=3.62, beta=2.0), (10_000, 10_029), (1, BIG_K), 0),
+        (certify_lower, make_log_splice(12000, 1.0), (10_000, 10_029),
+         (12_000, 12_000 + BIG_K), 1),
+        (certify_upper, UpperModel(C=1.1 * CRITICAL_C, beta=2.0), (30, 36), (1, BIG_K), 1),
+        (certify_lower, make_log_splice(12000, 1.0), (96, 106), (12_000, 12_000 + BIG_K), 1),
+    )
+    for certify, m, n_range, k_range, columns in cases:
+        uncovered = _profile_rows(certify, m, n_range, k_range[1]).count(False)
+        calls.clear()
+        certify(m, n_range, k_range)
+        assert calls.count("recurrence_rhs") == uncovered + 1
+        built = calls.count("_upper_column") + calls.count("_lower_column")
+        assert built == uncovered + columns, (certify.__name__, n_range)
+
+
+def _validity_loop(m, n_range, k_hi):
+    """The first (N, k, q_{N,k}) where a level's column fails _first_invalid."""
+    for N in range(n_range[0], n_range[1] + 1):
+        invalid = _first_invalid(lower_model_values(m, N, k_hi))
+        if invalid is not None:
+            return (N, *invalid)
+    return None
+
+
+def _b_with_small_drops():
+    # drops of half the slack and of the whole slack are allowed below K
+    b = b_sequence(200)
+    b[50] = b[49] - 0.5e-12
+    b[120] = b[119] - 1e-12
+    return b
+
+
+@pytest.mark.parametrize(
+    "model, n_range, k_range",
+    [
+        # q_3 - q_2 = (b_2 - log(3)^2) / N rounds across the slack from level to
+        # level: valid at 953,754, invalid at 953,759, a covered level past the first
+        (LowerStepModel(b=np.array([0.0, 0.0, 1.2069499145673301]), K=3, c=1.0),
+         (953_754, 953_770), (1, 4)),
+        # each step's band constant jumps the column up at its threshold
+        (_STEPS, (2000, 2010), (1, 12_000)),
+        (_STEPS, (10, 20), (1, 200)),
+        # rising junction at K: b_{K-1} above log(K)^2 / c
+        (LowerStepModel(b=b_sequence(200), K=200, c=0.5), (10_000, 10_010), (1, 400)),
+        (LowerStepModel(b=_b_with_small_drops(), K=200, c=1.0), (60, 80), (1, 199)),
+        (LowerStepModel(b=_b_with_small_drops(), K=200, c=1.0), (60, 80), (1, 400)),
+        (make_log_splice(12000, 0.9 * CRITICAL_C), (10_000, 10_002), (12_000, 14_000)),
+    ],
+)
+def test_covered_validity_matches_per_level_check(model, n_range, k_range):
+    want = _validity_loop(model, n_range, k_range[1])
+    rep = certify_lower(model, n_range, k_range)
+    assert (rep.curve_valid, rep.first_invalid_curve) == (want is None, want)
+    if model.K == 3:
+        assert want[:2] == (953_759, 3)
+
+
 def _rhs_longdouble(G, ks):
     """(1/2) sum_l (G_l - G_{l+1}) (G_{k-l} - G_k) for each k in ks, summed directly
     in long double."""
@@ -622,18 +871,18 @@ def test_profile_residuals_beat_per_level_fft_against_long_double():
     log_sq = np.zeros(k_hi + 1)
     log_sq[1:] = np.log(np.arange(1, k_hi + 1, dtype=float)) ** 2
     upper, lower = UpperModel(C=3.62, beta=2.0), make_log_splice(12000, 1.0)
-    # q = 1 - G / D on the whole column, in both models
+    # q = 1 - G / (s N) on the whole column, in both models
     lower_G = np.concatenate((lower.b[:12000], log_sq[12000:] / lower.c))
     cases = (
-        (certify_upper, upper_model_values, upper, log_sq, LD(N) * LD(upper.C), +1),
-        (certify_lower, lower_model_values, lower, lower_G, LD(N), -1),
+        (certify_upper, upper_model_values, upper, log_sq, LD(upper.C), +1),
+        (certify_lower, lower_model_values, lower, lower_G, LD(1), -1),
     )
-    for certify, values, m, G, D, direction in cases:
-        q, q_next = values(m, N, k_hi), values(m, N + 1, k_hi)
-        # both columns lie in [1/2, 1], so their difference is exact in floating point and
-        # the residuals differ from the reference only through the rhs
-        assert q.min() >= 0.5
-        ref = direction * ((q_next - q)[ks].astype(LD) - _rhs_longdouble(G, ks) / (D * D))
+    for certify, values, m, G, s, direction in cases:
+        # the model's own residual, beta (G gamma - rhs(G)) times the direction, summed
+        # directly in long double: the difference of two float columns near 1 is exact,
+        # but each column carries the rounding of 1 - G / (s N), which this leaves out
+        gamma, beta = s * N / (N + 1), 1 / (s * N) ** 2
+        ref = direction * beta * (G[ks].astype(LD) * gamma - _rhs_longdouble(G, ks))
         new = certify(m, (N, N), (1, k_hi), keep_grid=True).residuals[0][ks - 1]
         old = _certify_reference(lambda n, k: values(m, n, k), (N, N), (1, k_hi),
                                  direction).residuals[0][ks - 1]

@@ -442,6 +442,22 @@ def test_regimes_bad_tol_and_k_max_fail_fast(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_regimes_large_k_max_solves_nothing_at_or_above_half(tmp_path, capsys):
+    # only p < 1/2 reads k_max, so a curve too large to solve refuses only there
+    for p, rc in (("0.7", 0), ("0.5", 0), ("0.4", 1)):
+        assert main(["regimes", "--p", p, "--k-max", "3000000",
+                     "--output", str(tmp_path / "r.json")]) == rc
+    assert "error:" in capsys.readouterr().err
+
+
+def test_evolve_level1_writes_the_cap(tmp_path):
+    # level 1 honours --kmax as level 2 does: one row per k up to the cap
+    for n in ("1", "2"):
+        out = tmp_path / f"n{n}.csv"
+        assert main(["evolve", "--N", n, "--kmax", "1000", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1000
+
+
 def test_sample_output_ignores_worker_environment(tmp_path, monkeypatch):
     # the worker count shapes the substreams, so only --workers may set it
     argv = ["sample", "--depth", "4", "--samples", "300", "--seed", "1", "--format", "json"]

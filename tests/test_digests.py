@@ -39,13 +39,13 @@ _DIGESTS = {
         "--N 12":
             "9a05d53519d8d7c4ed09ad33d2e16e9f2aede41f09c2986d0882631c5f343740",
         "--model upper --C 3.62 --beta 2 --N-range 10000:10100 --k-range 1:100000":
-            "07ecbbe1314029ac5c3587590e18b3cf42947ba505eec37ab70e9980b21e9602",
+            "f69b06fb21be4a9f00dcf35202e5738e35a8fc458971e7f502970b21ae8c10c6",
         "--model lower --K 12000 --c 1 --N-range 10000:10050 --k-range 12000:200000":
-            "ebafeb6d7bbf1b64ab679f54b1e97f3dab79f156e01d7936e77001b83dface21",
+            "63b3dc1a041f5f15fa9292f0bf67c3d9351244588078e8733964cd06d26e5f93",
         "--model upper --N-range 30:36 --k-range 12293 --emit-grid":
-            "03d8efcd4e54503e38b21514c73e40f1dab856b1404b0d5b5cbc3dd9c95aafb0",
+            "a02e08aff7b93523f13ab99d966c31fdd779de030fd6f3d5953c690ab5b49ae4",
         "--model lower --K 12000 --N-range 96:106 --k-range 12000:24293 --emit-grid":
-            "7093e0a8522f6dc510aa3d469f3140a3ad784552a8f0692584ce91d4e8c94eb4",
+            "752a902512e0b6efdafe8b2063ba049198c0970ba78d09ed879d44c6315a4a4c",
         "--p 0.25 --tol 1e-12": "63bfc024d8a3f6425f32f49fe26de87455f50e52d4668b77f54b03d6541f8b5d",
         "--p 0.30 --tol 1e-12": "660b5dae9bd8ef06f3104f5c3faffbd3b1e6b2c77ad1fc1e1d1e8bf8acb30489",
         "--p 0.325 --tol 1e-12": "b4d5c4b9c70a72259c6ca6e7ee0d4c89016dcb83e0d8609f25e61658aba5ce55",
@@ -78,8 +78,9 @@ _CLI_PAYLOADS = [
 ]
 
 # bounds arguments of the reports the CLI writes here: the benchmark's two
-# certify scans, whose levels all take rhs(G), and two grids whose levels
-# convolve their own columns (the upper one crosses the junction at N = 35)
+# certify scans, whose levels all lie on the leading branch, and two grids
+# whose first levels convolve their own columns (the upper one crosses the
+# junction at N = 35, the lower one's zero branch leaves at N = 102)
 _BOUNDS_PAYLOADS = [
     "--model upper --C 3.62 --beta 2 --N-range 10000:10100 --k-range 1:100000",
     "--model lower --K 12000 --c 1 --N-range 10000:10050 --k-range 12000:200000",

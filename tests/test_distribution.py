@@ -130,6 +130,23 @@ def test_evolve_level1_is_point_mass():
         assert m.level == 1 and m.probs[1] == 1.0
 
 
+def test_evolve_level1_honours_the_cap_and_steps_nothing():
+    # level 1 has the policy's cap, as every later level does; the full support's
+    # is 2^0 = 1 entry, padded to 2 as every level is
+    for cap, want in ((1000, 1000), (2, 2), (None, 2)):
+        m = evolve(1, 0.5, TruncationPolicy(k_max=cap))
+        assert m.k_max == want and m.probs[1] == 1.0 and m.probs[2:].sum() == 0.0
+    assert evolve(2, 0.5, TruncationPolicy(k_max=1000)).k_max == 1000
+    # a loop with no level to step allocates no buffer, however large the cap
+    tracemalloc.start()
+    try:
+        assert list(_levels(point_mass_initial(0.5), 1, TruncationPolicy(k_max=5 * 10**7))) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_evolve_matches_enumeration_exactly():
     # rational oracle over all sign assignments; the engine run at p = 1/2 is
     # dyadic and must agree exactly, the others to double precision

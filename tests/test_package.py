@@ -83,7 +83,7 @@ def test_one_admission():
         "cli:_build_lower_model",
         "distribution:TruncationPolicy.cap_for",
         "distribution:_levels",
-        "regimes:_check_curve_args",
+        "regimes:_admit_curve",
         "series:_check_k",
         "simulate:SimConfig.__post_init__",
     ]

@@ -125,8 +125,29 @@ def test_k_max_ceiling_refused_before_work():
     with pytest.raises(ValueError, match="k_max = 2267787 .* more than the limit"):
         limit_survival(0.4, k_max=2_267_787)
     with pytest.raises(ValueError, match="k_max = 2267787 .* more than the limit"):
-        classify(0.0, k_max=2_267_787)
+        classify(0.4, k_max=2_267_787)
+    # p = 0 solves nothing: its curve is admitted by its 88 B per entry alone
+    with pytest.raises(ValueError, match="k_max = 48806447 .* more than the limit"):
+        classify(0.0, k_max=48_806_447)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_classify_admits_only_the_curve_it_builds(admissions):
+    # the argument checks hold at every p, but only p < 1/2 builds a curve: the
+    # solve below 1/2 is admitted by its bytes and time, p = 0's ones by bytes
+    for p in (0.5, 0.7, 1.0):
+        classify(p, k_max=3_000_000)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                classify(p, k_max=8, tol=tol)
+        with pytest.raises(ValueError, match="k_max"):
+            classify(p, k_max=1)
+    assert not any("limit curve" in request for request, _, _ in admissions)
+    admissions.clear()
+    classify(0.0, k_max=8)
+    classify(0.25, k_max=8)
+    assert admissions == [("a limit curve of k_max = 8 entries", 8 * 88, 0),
+                          ("a limit curve of k_max = 8 entries", 8 * 88, 64 * 350)]
 
 
 def test_supercritical_all_plus_is_exact_doubling():
