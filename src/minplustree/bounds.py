@@ -29,6 +29,7 @@ from .distribution import (
     _MONO_SLACK,
     _UNIT_COST,
     _admit,
+    _first_invalid,
     recurrence_rhs,
 )
 
@@ -282,20 +283,6 @@ def lower_model_validity(m: LowerStepModel, N: int, k_max: int) -> Optional[Tupl
     return _first_invalid(lower_model_values(m, N, k_max))
 
 
-def _first_invalid(q: np.ndarray) -> Optional[Tuple[int, float]]:
-    """First k with q[k] outside [0, 1] or above q[k-1], as (k, q[k]), or None."""
-    body = q[1:]
-    bad = ~(body >= -_MONO_SLACK)  # negated, so that NaN is invalid too
-    bad |= body > 1.0 + _MONO_SLACK
-    # a step up beyond the slack needs body[i + 1] > body[i], which is rare
-    rise = np.flatnonzero(body[1:] > body[:-1]) + 1
-    bad[rise] |= body[rise] - body[rise - 1] > _MONO_SLACK
-    i = int(bad.argmax())
-    if not bad[i]:
-        return None
-    return i + 1, float(body[i])
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -307,6 +294,8 @@ class CertificateReport:
     ``min_margin`` is the smallest residual, NaN if any residual is NaN;
     the inequality holds on the grid iff it is nonnegative, in which case
     ``first_violation`` is None.  A NaN residual counts as a violation.
+    ``first_invalid_curve`` is the first (N, k, q_{N,k}) where a scanned
+    column is no survival curve; ``curve_valid`` says that there is none.
     """
 
     checked_n: Tuple[int, int]
@@ -315,7 +304,6 @@ class CertificateReport:
     first_violation: Optional[Tuple[int, int, float]]
     n_violations: int
     gamma_estimate: Optional[float] = None
-    curve_valid: bool = True
     first_invalid_curve: Optional[Tuple[int, int, float]] = None
     residuals: Optional[np.ndarray] = None
 
@@ -326,6 +314,10 @@ class CertificateReport:
     @property
     def passed(self) -> bool:
         return self.min_margin >= 0.0
+
+    @property
+    def curve_valid(self) -> bool:
+        return self.first_invalid_curve is None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -384,9 +376,9 @@ def _certify(
     k_range: Tuple[int, int],
     direction: int,
     keep_grid: bool,
+    profile: _Profile,
     gamma_at=None,
     rises=None,
-    profile: Optional[_Profile] = None,
 ) -> CertificateReport:
     """Scan the residual columns N = n_lo..n_hi over k = k_lo..k_hi.
 
@@ -422,21 +414,19 @@ def _certify(
     a survival curve, until the first one that is not: the uncovered levels
     and n_cov run :func:`_first_invalid`.  A covered column entry rises with
     N bit for bit, so past n_cov it stays within [-slack, 1] and can pass
-    its left neighbour only at a few slots; ``rises(N)`` checks those and
-    returns the first failure as (k, q_{N,k}), or None.
+    its left neighbour by more than the slack only at a few slots;
+    ``rises(N)`` checks those and returns the first failure as (k, q_{N,k}),
+    or None.
     """
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
-    n_cov = n_hi + 1
-    if profile is not None:
-        n_cov = n_lo + bisect.bisect_left(range(n_lo, n_hi + 1), True, key=profile.covers)
+    n_cov = n_lo + bisect.bisect_left(range(n_lo, n_hi + 1), True, key=profile.covers)
 
     min_margin = math.inf
     first_violation = None
     n_violations = 0
     gamma = math.inf
     saw_model1 = False
-    curve_valid = True
     first_invalid = None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1)) if keep_grid else None
 
@@ -457,10 +447,9 @@ def _certify(
                 first_violation = (N, k + k_lo, float(res[i]))
 
     def validate(N: int, invalid: Optional[Tuple[int, float]]) -> None:
-        nonlocal curve_valid, first_invalid
+        nonlocal first_invalid
         if invalid is not None:
-            curve_valid = False
-            first_invalid = (N, invalid[0], invalid[1])
+            first_invalid = (N, *invalid)
 
     q = None
     if n_lo < n_cov or rises is not None:
@@ -485,13 +474,13 @@ def _certify(
                 if ratio is not None:
                     saw_model1 = True
                     gamma = min(gamma, ratio)
-            if rises is not None and curve_valid:
+            if rises is not None and first_invalid is None:
                 validate(N, _first_invalid(q))
             q, q_next = q_next, q
         q_next = col = rhs = None
 
     if n_cov <= n_hi:
-        if rises is not None and curve_valid:
+        if rises is not None and first_invalid is None:
             validate(n_cov, _first_invalid(q))
         q = None
         G = profile.G()
@@ -534,7 +523,7 @@ def _certify(
             res = _branch_terms(G_seen, R_seen, g, direction)
             np.multiply(res, beta, out=res)
             tally(N, res, slots, n_unseen)
-            if rises is not None and curve_valid and N > n_cov:
+            if rises is not None and first_invalid is None and N > n_cov:
                 validate(N, rises(N))
 
     return CertificateReport(
@@ -544,7 +533,6 @@ def _certify(
         first_violation=first_violation,
         n_violations=n_violations,
         gamma_estimate=(gamma if saw_model1 else None),
-        curve_valid=curve_valid,
         first_invalid_curve=first_invalid,
         residuals=grid,
     )
@@ -627,6 +615,7 @@ def certify_lower(
         # G = b below K and log(k)^2 / c_r on band r, so that q = 1 - G / N
         G = np.empty(k_hi + 1)
         G[0] = 0.0
+        head = min(m.K, k_hi + 1)
         G[1:head] = m.b[1:head]
         for lo, hi, c in bands:
             np.divide(logk_sq[lo:hi], c, out=G[lo:hi])
@@ -637,20 +626,16 @@ def certify_lower(
         return all(logk[hi - 1] < math.sqrt(N * c) for _, hi, c in bands)
 
     # A covered column entry is 1 - H_k / (c_k N), with H = b below K and
-    # log(k)^2 above, c_k = 1 below K and the band's constant above.  It can
-    # pass its left neighbour only where H falls under one divisor, or where
-    # the divisor changes: at K and at each step threshold.
-    head = min(m.K, k_hi + 1)
-    can_rise = np.zeros(k_hi + 1, dtype=bool)
-    can_rise[2:head] = m.b[2:head] < m.b[1 : head - 1]
-    can_rise[m.K + 1 :] = logk_sq[m.K + 1 :] < logk_sq[m.K : -1]
-    can_rise[[lo for lo, _, _ in bands]] = True
-    slots = np.flatnonzero(can_rise)
-    pairs = np.stack((slots - 1, slots))  # each slot and its left neighbour
-    H = np.where(pairs < m.K, m.b[np.minimum(pairs, m.K - 1)], logk_sq[pairs])
-    c_k = np.ones(pairs.shape)
-    for lo, hi, c in bands:
-        c_k[(lo <= pairs) & (pairs < hi)] = c
+    # log(k)^2 above, c_k = 1 below K and the band's constant above.  Past the
+    # first covered level it can pass its left neighbour by more than the
+    # slack only where the divisor changes: at K and at each step threshold.
+    # Within a band log(k)^2 rises, and where b falls (by at most 1e-12) the
+    # rise is at most 1e-12 / N plus two roundings, below the slack at N >= 2.
+    slots = np.array([lo for lo, _, _ in bands], dtype=np.intp)
+    H = logk_sq[np.stack((slots - 1, slots))]  # each slot's left neighbour, then the slot
+    H[0, :1] = m.b[m.K - 1]  # left of K is the head, whose divisor is N
+    constants = [c for _, _, c in bands]
+    c_k = np.array([([1.0] + constants)[:-1], constants])
 
     def rises(N: int) -> Optional[Tuple[int, float]]:
         # the arithmetic of _lower_column, slot by slot: c_k N is N below K

@@ -87,11 +87,6 @@ def _cross_term(q: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
     return _ConvBlock().convolve(d, q[1:])[0][: K - 1]
 
 
-def _survival_suffix(probs: np.ndarray, tail_mass: float) -> np.ndarray:
-    """P(X >= k) for k = 1..k_max from the padded mass array and lumped tail."""
-    return np.cumsum(probs[:0:-1])[::-1] + tail_mass
-
-
 def _clamp_probabilities(arr: np.ndarray) -> float:
     """Zero out tiny FFT round-off negatives in place; anything larger is a bug.
 
@@ -238,15 +233,31 @@ class MassFunction:
         }
 
 
+def _first_invalid(q: np.ndarray) -> Optional[tuple[int, float]]:
+    """The one test that a padded array is a survival curve: the first k >= 1
+    where q[k] is NaN, below 0 or above q[k-1] by more than ``_MONO_SLACK``,
+    or above 1 by more than ``NORM_EPS``, as (k, q[k]); None if there is none.
+
+    The top tolerance is the mass total's, so that every ``MassFunction``
+    has a survival curve.
+    """
+    body = q[1:]
+    bad = ~(body >= -_MONO_SLACK)  # negated, so that NaN is invalid too
+    bad |= body > 1.0 + NORM_EPS
+    # a step up beyond the slack needs body[i + 1] > body[i], which is rare
+    rise = np.flatnonzero(body[1:] > body[:-1]) + 1
+    bad[rise] |= body[rise] - body[rise - 1] > _MONO_SLACK
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return i + 1, float(body[i])
+
+
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """values[k] = P(X >= k) for k = 1..k_max; values[0] is padding (1.0).
-
-    ``tail_floor`` is the value assigned beyond the cap, i.e. P(X > k_max).
-    """
+    """values[k] = P(X >= k) for k = 1..k_max; values[0] is padding (1.0)."""
 
     values: np.ndarray
-    tail_floor: float
     level: int
 
     def __post_init__(self) -> None:
@@ -257,14 +268,11 @@ class SurvivalCurve:
             raise ValueError("values must cover at least k = 1")
         if not abs(vals[1] - 1.0) <= NORM_EPS:
             raise ValueError("P(X >= 1) must be 1")
-        if not (vals.min() >= -_MONO_SLACK and vals.max() <= 1.0 + NORM_EPS):
-            raise ValueError("survival values outside [0, 1]")
-        if np.any(np.diff(vals[1:]) > _MONO_SLACK):
-            raise ValueError("survival values must be nonincreasing")
+        invalid = _first_invalid(vals)
+        if invalid is not None:
+            raise ValueError("not a survival curve at k = %d: %r" % invalid)
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if not -_MONO_SLACK <= self.tail_floor <= vals[-1] + _MONO_SLACK:
-            raise ValueError("tail_floor must sit below the last survival value")
 
     @property
     def k_max(self) -> int:
@@ -276,8 +284,8 @@ def _survival_curve(probs: np.ndarray, tail_mass: float, level: int) -> Survival
     ``tail_mass`` beyond its last slot."""
     vals = np.empty(probs.size)
     vals[0] = 1.0
-    vals[1:] = _survival_suffix(probs, tail_mass)
-    return SurvivalCurve(values=vals, tail_floor=tail_mass, level=level)
+    vals[1:] = np.cumsum(probs[:0:-1])[::-1] + tail_mass
+    return SurvivalCurve(values=vals, level=level)
 
 
 def point_mass_initial(p_plus: float = 0.5, k_max: int = 2) -> MassFunction:
@@ -496,7 +504,7 @@ def step_survival(s: SurvivalCurve) -> SurvivalCurve:
     """
     new = s.values + recurrence_rhs(s.values)
     new[:2] = 1.0
-    return SurvivalCurve(values=new, tail_floor=0.0, level=s.level + 1)
+    return SurvivalCurve(values=new, level=s.level + 1)
 
 
 def evolve(n_target: int, p_plus: float, policy: TruncationPolicy) -> MassFunction:

@@ -17,10 +17,10 @@ import numpy as np
 from .distribution import (
     MassFunction,
     TruncationPolicy,
-    _MONO_SLACK,
     _UNIT_COST,
     _admit,
     _cross_term,
+    _first_invalid,
     _levels,
     moments,
     point_mass_initial,
@@ -44,9 +44,9 @@ class RegimeReport:
 
     def __post_init__(self) -> None:
         if self.limit_survival is not None:
-            vals = self.limit_survival[1:]
-            if np.any(np.diff(vals) > _MONO_SLACK):
-                raise ValueError("limit survival values must be nonincreasing")
+            invalid = _first_invalid(np.asarray(self.limit_survival, dtype=float))
+            if invalid is not None:
+                raise ValueError("limit survival is not a survival curve at k = %d: %r" % invalid)
 
     def to_json_dict(self) -> dict:
         return {

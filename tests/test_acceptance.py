@@ -80,7 +80,7 @@ def test_criterion_2_dual_recurrence():
     m = point_mass_initial(0.5)
     vals = np.zeros(257)
     vals[0] = vals[1] = 1.0
-    s = SurvivalCurve(values=vals, tail_floor=0.0, level=1)
+    s = SurvivalCurve(values=vals, level=1)
     worst = 0.0
     for _ in range(11):
         m = step_pmf(m, pol)

@@ -22,13 +22,14 @@ from minplustree.bounds import (
     recurrence_rhs,
     sandwich_check,
     upper_model_values,
-    _first_invalid,
 )
 from minplustree.distribution import (
     CRITICAL_C,
     DIRECT_CONV_MAX,
+    NORM_EPS,
     TruncationPolicy,
     _cross_term,
+    _first_invalid,
     evolve,
 )
 
@@ -432,7 +433,7 @@ def _certify_reference(values_at, n_range, k_range, direction, model1_mask=None,
     """The certifiers' column loop with fresh arrays for every level N."""
     (n_lo, n_hi), (k_lo, k_hi) = n_range, k_range
     min_margin, first_violation, n_violations = math.inf, None, 0
-    gamma, saw_model1, curve_valid, first_invalid = math.inf, False, True, None
+    gamma, saw_model1, first_invalid = math.inf, False, None
     grid = np.empty((n_hi - n_lo + 1, k_hi - k_lo + 1))
     q = values_at(n_lo, k_hi)
     for N in range(n_lo, n_hi + 1):
@@ -451,10 +452,10 @@ def _certify_reference(values_at, n_range, k_range, direction, model1_mask=None,
                 saw_model1 = True
                 kk = np.arange(k_lo, k_hi + 1, dtype=float)[mask]
                 gamma = min(gamma, float((col[mask] * N**2 / np.log(kk) ** 2).min()))
-        if validity_at is not None and curve_valid:
+        if validity_at is not None and first_invalid is None:
             invalid = validity_at(N, k_hi)
             if invalid is not None:
-                curve_valid, first_invalid = False, (N, invalid[0], invalid[1])
+                first_invalid = (N, invalid[0], invalid[1])
         q = q_next
     return CertificateReport(
         checked_n=(n_lo, n_hi),
@@ -463,7 +464,6 @@ def _certify_reference(values_at, n_range, k_range, direction, model1_mask=None,
         first_violation=first_violation,
         n_violations=n_violations,
         gamma_estimate=(gamma if saw_model1 else None),
-        curve_valid=curve_valid,
         first_invalid_curve=first_invalid,
         residuals=grid,
     )
@@ -633,7 +633,7 @@ def _closed_form_row(G, R, s, N, direction):
     return direction * (G * gamma - R) * beta
 
 
-def _report_from_grid(grid, n_range, k_range, gamma, curve_valid=True, first_invalid=None):
+def _report_from_grid(grid, n_range, k_range, gamma, first_invalid=None):
     """The report fields that a scan reads off its residual grid."""
     bad = np.flatnonzero(~(grid >= 0.0))
     first = None
@@ -647,7 +647,6 @@ def _report_from_grid(grid, n_range, k_range, gamma, curve_valid=True, first_inv
         first_violation=first,
         n_violations=int(bad.size),
         gamma_estimate=gamma,
-        curve_valid=curve_valid,
         first_invalid_curve=first_invalid,
         residuals=grid,
     )
@@ -681,7 +680,7 @@ def _closed_form_scan(certify, m, n_range, k_range):
             saw = True
             gamma = min(gamma, float(ratios.min()))
     return _report_from_grid(grid, n_range, k_range, gamma if saw else None,
-                             per_level.curve_valid, per_level.first_invalid_curve)
+                             per_level.first_invalid_curve)
 
 
 def _assert_bitwise(got, want):
@@ -894,7 +893,7 @@ def test_profile_residuals_beat_per_level_fft_against_long_double():
 def _validity_reference(q):
     """lower_model_validity's check with a full difference array."""
     k_max = q.size - 1
-    bad_range = (q[1:] < -1e-12) | (q[1:] > 1.0 + 1e-12)
+    bad_range = (q[1:] < -1e-12) | (q[1:] > 1.0 + NORM_EPS)
     bad_mono = np.zeros(k_max, dtype=bool)
     bad_mono[1:] = np.diff(q[1:]) > 1e-12
     idx = np.flatnonzero(bad_range | bad_mono)
@@ -940,7 +939,9 @@ def test_certify_counts_nan_residuals_as_violations():
         if N == 1002:
             out[7] = math.nan
 
-    rep = bounds._certify(fill, (1000, 1004), (1, 50), direction=+1, keep_grid=True)
+    never = bounds._Profile(None, 1.0, lambda N: False)  # every level takes the per-level path
+    rep = bounds._certify(fill, (1000, 1004), (1, 50), direction=+1, keep_grid=True,
+                          profile=never)
     assert math.isnan(rep.min_margin) and not rep.passed
     # the NaN reaches slot 7 of column 1001 (through q_{N+1}) and slots 7..50
     # of column 1002 (through the convolution); the clean scan passes

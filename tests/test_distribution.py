@@ -14,6 +14,7 @@ import pytest
 
 from minplustree import distribution
 from minplustree.distribution import (
+    NORM_EPS,
     MassFunction,
     SurvivalCurve,
     TruncationPolicy,
@@ -28,11 +29,12 @@ from minplustree.distribution import (
     _ConvBlock,
     _clamp_probabilities,
     _fast_len,
+    _first_invalid,
     _levels,
     _support_window,
-    _survival_suffix,
     _window_sum,
 )
+from minplustree.regimes import RegimeReport
 
 from conftest import assert_no_child_left
 from enum_oracle import enumerate_pmf
@@ -40,7 +42,7 @@ from enum_oracle import enumerate_pmf
 
 def make_survival(values, level=1):
     vals = np.array([1.0] + list(values))
-    return SurvivalCurve(values=vals, tail_floor=0.0, level=level)
+    return SurvivalCurve(values=vals, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def _step_pmf_reference(m, policy):
         s = np.empty(cap + 2)  # s[k] = P(X >= k), s[cap+1] = mass beyond cap
         s[0] = 1.0
         upto = min(m.k_max, cap + 1)
-        s[1 : upto + 1] = _survival_suffix(m.probs, m.tail_mass)[:upto]
+        s[1 : upto + 1] = (np.cumsum(m.probs[:0:-1])[::-1] + m.tail_mass)[:upto]
         if cap + 1 > m.k_max:
             s[m.k_max + 1 :] = m.tail_mass
         sq = s * s
@@ -682,6 +684,34 @@ def test_survival_curve_validation():
         make_survival([0.9, 0.5])  # P(X >= 1) must be 1
     with pytest.raises(ValueError):
         make_survival([1.0, 0.4, 0.6])  # not monotone
+
+
+# arrays that are no survival curve, each with the first k that fails
+_NOT_CURVES = [
+    ([1.0, 1.0, 0.5, math.nan, 0.2], 3),
+    ([1.0, 1.0, 0.5, 0.2, -0.3], 4),
+    ([1.0, 1.0, 1.7, 0.5, 0.2], 2),
+    ([1.0, 1.0, 0.5, 0.5 + 2e-12, 0.2], 3),
+]
+
+
+def test_not_curves_refused_alike():
+    # the curve of the distribution, the limit curve of a regime report and the
+    # bound scans' columns are refused by one test, at the same slot
+    for values, k in _NOT_CURVES:
+        q = np.array(values)
+        assert _first_invalid(q)[0] == k
+        with pytest.raises(ValueError, match=f"k = {k}:"):
+            SurvivalCurve(values=q, level=1)
+        with pytest.raises(ValueError, match=f"k = {k}:"):
+            RegimeReport(p_plus=0.3, fixed_point_c2=0.3 / 0.7, limit_survival=q)
+    # a curve given as a list still passes, and so does one with no slot past the padding
+    RegimeReport(p_plus=0.3, fixed_point_c2=0.3 / 0.7, limit_survival=[1.0, 1.0, 0.5])
+    assert _first_invalid(np.ones(1)) is None
+    # the top tolerance is the mass total's: every accepted mass has a survival curve
+    m = MassFunction(probs=np.array([0.0, 0.5, 0.25, 0.25 + 0.9 * NORM_EPS]), tail_mass=0.0,
+                     level=2, p_plus=0.5)
+    assert m.survival().values[1] > 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ def _modules():
                 yield name[:-3], ast.parse(fh.read())
 
 
-def _callers(calls):
-    """The qualified name of each function in the package that calls one of
-    ``calls``, with its module, once per call."""
+def _scopes(match):
+    """The qualified name of each function in the package, with its module,
+    once per node in it for which ``match(node)`` holds."""
     found = []
 
     def visit(node, module, scope):
@@ -34,13 +34,19 @@ def _callers(calls):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in calls:
+            if match(child):
                 found.append(f"{module}:{'.'.join(scope) or '<module>'}")
             visit(child, module, scope)
 
     for module, tree in _modules():
         visit(tree, module, [])
     return found
+
+
+def _callers(calls):
+    """The qualified name of each function in the package that calls one of
+    ``calls``, with its module, once per call."""
+    return _scopes(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in calls)
 
 
 def test_one_function_convolves():
@@ -86,6 +92,29 @@ def test_one_admission():
         "regimes:_admit_curve",
         "series:_check_k",
         "simulate:SimConfig.__post_init__",
+    ]
+
+
+def test_one_survival_curve_check():
+    # one function decides whether an array is a survival curve, for the
+    # distribution, the regime reports and the bound scans; the slack it reads
+    # serves elsewhere only the lower model's b, which is no curve, and the
+    # covered lower scan's slots that can rise
+    defined = [f"{module}:{node.name}" for module, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_first_invalid"]
+    assert defined == ["distribution:_first_invalid"]
+    assert sorted(set(_callers({"_first_invalid"}))) == [
+        "bounds:_certify",
+        "bounds:lower_model_validity",
+        "distribution:SurvivalCurve.__post_init__",
+        "regimes:RegimeReport.__post_init__",
+    ]
+    readers = _scopes(lambda node: isinstance(getattr(node, "ctx", None), ast.Load)
+                      and "_MONO_SLACK" in (getattr(node, "id", None), getattr(node, "attr", None)))
+    assert sorted(set(readers)) == [
+        "bounds:LowerStepModel.__post_init__",
+        "bounds:certify_lower.rises",
+        "distribution:_first_invalid",
     ]
 
 
